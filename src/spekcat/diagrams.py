@@ -10,8 +10,8 @@ the plain diagonal, so a wire always means equality of the two port values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from . import relations as rel
 from .generators import (GeneratorId, HALFSPEK, MSPEK, SPEK, arity,
@@ -153,11 +153,7 @@ def parse(source: str) -> Diagram:
                 legs.append((_parse_port(tok, lineno), head))
         else:
             raise DiagramError("unknown directive %r" % head, lineno)
-    d = Diagram(theory, tuple(boxes), tuple(wires), tuple(legs))
-    try:
-        return d.validate()
-    except DiagramError as exc:
-        raise exc
+    return Diagram(theory, tuple(boxes), tuple(wires), tuple(legs)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -211,73 +207,78 @@ def _join(f1: _Factor, f2: _Factor) -> _Factor:
 
 
 def evaluate(d: Diagram, rng=None) -> Relation:
-    """The relation a diagram denotes; independent of contraction order."""
+    """The relation a diagram denotes; independent of contraction order.
+
+    Greedy schedule: of the factor pairs sharing a variable, join the one
+    with the narrowest result, ties to the earliest pair in factor order
+    (``rng`` picks among all candidates instead).
+    """
     d.validate()
-    box_map = d.box_map
     port_var = {}
     for w, (a, b) in enumerate(d.wires):
         port_var[a] = port_var[b] = ("w", w)
-    leg_vars = []
     for k, (port, _) in enumerate(d.legs):
         port_var[port] = ("l", k)
-        leg_vars.append(("l", k))
-    protected = set(leg_vars)
+    protected = {("l", k) for k in range(len(d.legs))}
 
-    factors = []
+    # factors by id; ids grow, so id order is the factor order
+    factors = {}
     for name, gen in d.boxes:
         r = resolve(gen)
         ports = [(name, s) for s in slots(gen)]
-        factors.append(_Factor([port_var[p] for p in ports],
-                               (a + b for a, b in r.pairs)))
+        factors[len(factors)] = _Factor([port_var[p] for p in ports],
+                                        (a + b for a, b in r.pairs))
     if not factors:
         return rel.scalar(True)
 
-    def prune():
-        counts = {}
-        for f in factors:
-            for v in set(f.vars):
-                counts[v] = counts.get(v, 0) + 1
-        for f in factors:
-            gone = {v for v in f.vars if counts[v] == 1 and v not in protected}
-            if gone:
-                f.drop(gone)
+    # A variable is a wire (two ports) or a leg (one port): at most two
+    # factors hold it, and a variable two factors share dies with their join.
+    holders = {}                 # variable -> ids of the factors holding it
+    for i, f in factors.items():
+        for v in f.vars:
+            holders.setdefault(v, set()).add(i)
+    for v, ids in list(holders.items()):
+        if len(ids) == 1 and v not in protected:
+            factors[min(ids)].drop({v})
+            del holders[v]
 
-    def eliminable(fa, fb):
-        counts = {}
-        for f in factors:
-            for v in set(f.vars):
-                counts[v] = counts.get(v, 0) + 1
-        return {v for v in set(fa.vars) & set(fb.vars)
-                if counts[v] == 2 and v not in protected}
+    widths = {}                  # (i, j), i < j, sharing a variable -> width
 
-    prune()
-    while len(factors) > 1:
-        candidates = []
-        for i, j in itertools.combinations(range(len(factors)), 2):
-            shared = set(factors[i].vars) & set(factors[j].vars)
-            if shared:
-                width = (len(set(factors[i].vars) | set(factors[j].vars))
-                         - len(eliminable(factors[i], factors[j])))
-                candidates.append((width, i, j))
-        if not candidates:
-            # disconnected remainder: tensor everything together
-            merged = factors[0]
-            for f in factors[1:]:
-                merged = _join(merged, f)
-            factors = [merged]
-            break
+    def score(i, j):
+        vi, vj = factors[i].vars, factors[j].vars
+        widths[i, j] = len(vi) + len(vj) - 2 * sum(v in vj for v in vi)
+
+    for ids in holders.values():
+        if len(ids) == 2:
+            score(*sorted(ids))
+
+    while widths:
         if rng is None:
-            _, i, j = min(candidates)
+            _, i, j = min((w, i, j) for (i, j), w in widths.items())
         else:
-            _, i, j = rng.choice(sorted(candidates))
-        gone = eliminable(factors[i], factors[j])
-        f = _join(factors[i], factors[j])
+            _, i, j = rng.choice(sorted((w, i, j)
+                                        for (i, j), w in widths.items()))
+        new = max(factors) + 1
+        fi, fj = factors.pop(i), factors.pop(j)
+        gone = {v for v in fi.vars if v in fj.vars}
+        f = _join(fi, fj)
         f.drop(gone)
-        factors = [g for k, g in enumerate(factors) if k not in (i, j)] + [f]
-        prune()
-
-    final = factors[0]
-    assert set(final.vars) == set(leg_vars), "internal vars must be eliminated"
+        factors[new] = f
+        for pair in [p for p in widths if i in p or j in p]:
+            del widths[pair]
+        for v in gone:
+            del holders[v]
+        for v in f.vars:
+            holders[v] -= {i, j}
+            holders[v].add(new)
+        for m in {m for v in f.vars for m in holders[v]} - {new}:
+            score(m, new)
+    final, *rest = factors.values()
+    for f in rest:               # disconnected remainder: tensor it together
+        final = _join(final, f)
+    if set(final.vars) != protected:
+        raise RuntimeError("internal variables were not eliminated: %s"
+                           % sorted(set(final.vars) - protected))
     in_vars = [("l", k) for k, (_, dr) in enumerate(d.legs) if dr == "in"]
     out_vars = [("l", k) for k, (_, dr) in enumerate(d.legs) if dr == "out"]
     pos = {v: i for i, v in enumerate(final.vars)}

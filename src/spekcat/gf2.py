@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 def rref(rows, ncols) -> List[int]:
@@ -30,11 +30,7 @@ def rank(rows, ncols) -> int:
 
 def is_consistent(rows, rhs, ncols) -> bool:
     """Whether A x = b is solvable; rows are coefficient masks, rhs bits."""
-    aug = [(r << 1) | (1 if b else 0) for r, b in zip(rows, rhs)]
-    for row in rref(aug, ncols + 1):
-        if row == 1:
-            return False
-    return True
+    return solve(rows, rhs, ncols) is not None
 
 
 def kernel_basis(rows, ncols) -> List[int]:
@@ -52,20 +48,16 @@ def kernel_basis(rows, ncols) -> List[int]:
     return basis
 
 
-def solutions(rows, rhs, ncols):
-    """Yield every solution of A x = b as an int bitmask (may be many)."""
-    if not is_consistent(rows, rhs, ncols):
-        return
+def solve(rows, rhs, ncols) -> Optional[Tuple[int, List[int]]]:
+    """One solution of A x = b and a kernel basis of A, or None when A x = b
+    has no solution.  The solutions are the particular one plus every sum
+    of kernel vectors."""
     aug = [(r << 1) | (1 if b else 0) for r, b in zip(rows, rhs)]
     reduced = rref(aug, ncols + 1)
+    if reduced and reduced[-1] == 1:
+        return None
     particular = 0
     for row in reduced:
         if row & 1:
             particular |= 1 << (row.bit_length() - 2)
-    kern = kernel_basis(rows, ncols)
-    for pick in range(1 << len(kern)):
-        vec = particular
-        for i, k in enumerate(kern):
-            if pick & (1 << i):
-                vec ^= k
-        yield vec
+    return particular, kernel_basis(rows, ncols)

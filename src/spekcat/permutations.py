@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,22 +140,22 @@ def _sigma_table():
     """Minimal factorisations of every S4 element into phased perms and Sigma.
 
     Ranking: fewest Sigma factors, then shortest word, then lexicographic on
-    the factor names.  Found by breadth-first search over words of length <= 5.
+    the factor names.  Appending a letter keeps two words' order, so minimal
+    words have minimal prefixes, and a best-first search over the
+    24-element Cayley graph finds them.
     """
-    phased = sorted(phased_permutations(), key=lambda p: p.name)
-    alphabet = phased + [SIGMA]
+    alphabet = sorted(phased_permutations(), key=lambda p: p.name) + [SIGMA]
     best = {}
-    for length in range(0, 6):
-        for word in itertools.product(alphabet, repeat=length):
-            composite = IDENTITY_4
-            for factor in word:
-                composite = composite.then(factor)
-            key = (sum(1 for f in word if f == SIGMA), length,
-                   tuple(f.name for f in word))
-            if composite not in best or key < best[composite][0]:
-                best[composite] = (key, word)
-    assert len(best) == 24
-    return {p: word for p, (_, word) in best.items()}
+    frontier = [((0, 0, ()), IDENTITY_4, ())]
+    while frontier:
+        (sigmas, length, names), p, word = heapq.heappop(frontier)
+        if p not in best:
+            best[p] = word
+            for f in alphabet:
+                heapq.heappush(frontier, ((sigmas + (f == SIGMA), length + 1,
+                                           names + (f.name,)),
+                                          p.then(f), word + (f,)))
+    return best
 
 
 def sigma_decompose(p: Permutation) -> Tuple[Permutation, ...]:

@@ -10,21 +10,27 @@ Type-12 parity counts occurrences of the value 2, type-34 parity counts
 occurrences of 4 (odd count = Odd).  The block calculus computes the full
 list of per-zone (parity, type) signatures of a diagram's state without
 evaluating the diagram, from zone profiles and the Sigma-link adjacency.
+
+Each zone's parity is an affine GF(2) function of the type bits.  The
+signatures are the image, under the external zones' (parity, type) map, of
+the type assignments that make every internal zone Even: 2^r signatures (r
+the map's rank on the kernel), each of multiplicity 2^(dim kernel - r).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 from . import gf2
 from . import relations as rel
 from .diagrams import (Diagram, DiagramError, ZoneDecomposition, as_state,
                        zone_decompose)
-from .generators import HALFSPEK, SPEK, GeneratorId, half_component
+from .generators import HALFSPEK
 from .permutations import Z2_SWAP
-from .relations import Relation, Space
+from .relations import CapacityError, Relation, Space
 
 PARITY_NAMES = {0: "Odd", 1: "Even"}
 TYPE_NAMES = {0: "12", 1: "34"}
@@ -87,9 +93,6 @@ class ConstraintSystem:
     def consistent(self):
         return gf2.is_consistent(list(self.rows), list(self.rhs), self.n_vars)
 
-    def solutions(self):
-        return gf2.solutions(list(self.rows), list(self.rhs), self.n_vars)
-
     def to_text(self) -> str:
         lines = []
         for row, b in zip(self.rows, self.rhs):
@@ -138,19 +141,18 @@ class StateForm:
         """
         n = self.n_legs
         cod = Space(4, n) if n else rel.I
-        rows = set()
-        for sig, _ in self.signatures:
-            per_zone = [_zone_block(pt, k)
-                        for pt, k in zip(sig, self.zone_legs)]
-            for combo in itertools.product(*per_zone):
-                flat = tuple(v for part in combo for v in part)
-                rows.add(flat)
         inverse = [0] * n
         for pos, orig in enumerate(self.leg_order):
             inverse[orig] = pos
-        pairs = frozenset(((), tuple(row[inverse[k]] for k in range(n)))
-                          for row in rows)
-        return Relation(rel.I, cod, pairs)
+        zone_block = functools.cache(_zone_block)
+        pairs = set()
+        for sig, _ in self.signatures:
+            per_zone = [zone_block(pt, k)
+                        for pt, k in zip(sig, self.zone_legs)]
+            for combo in itertools.product(*per_zone):
+                flat = tuple(itertools.chain.from_iterable(combo))
+                pairs.add(((), tuple(map(flat.__getitem__, inverse))))
+        return Relation(rel.I, cod, frozenset(pairs))
 
 
 def _zone_block(sig, n_legs):
@@ -165,6 +167,29 @@ def _zone_block(sig, n_legs):
     return out
 
 
+def _parity_maps(zd: ZoneDecomposition):
+    """Entry i is ``(mask, offset)``: zone i's parity is ``offset`` plus
+    the set bits of ``mask & T``, mod 2.  It is the profile psi_i(T_i) =
+    a + b T_i, flipped by T_i + T_j for each zone j linked to it oddly often.
+    """
+    maps = []
+    for i, z in enumerate(zd.zones):
+        a, a1 = zone_profile(zd.diagram, z.boxes)
+        adj = zd.adjacency(i)
+        mask = (((a ^ a1) + len(adj)) % 2) << i
+        for j in adj:
+            mask ^= 1 << j
+        maps.append((mask, a))
+    return maps
+
+
+def _constraints(zd: ZoneDecomposition, maps) -> ConstraintSystem:
+    internal = zd.internal_zones
+    return ConstraintSystem(len(zd.zones),
+                            tuple(maps[i][0] for i in internal),
+                            tuple(1 ^ maps[i][1] for i in internal))
+
+
 def constraint_system(zd: ZoneDecomposition) -> ConstraintSystem:
     """One equation per internal zone: its block parity must come out Even.
 
@@ -172,68 +197,41 @@ def constraint_system(zd: ZoneDecomposition) -> ConstraintSystem:
     counit, so the parity expression psi_i(T_i) + sum over linked zones j of
     (T_i + T_j) is pinned to 1 for every internal zone i.
     """
-    profiles = [zone_profile(zd.diagram, z.boxes) for z in zd.zones]
-    rows, rhs = [], []
-    for i in zd.internal_zones:
-        a, a1 = profiles[i]
-        b = a ^ a1                       # psi_i(T) = a + b T
-        adj = zd.adjacency(i)
-        coeff_i = (b + len(adj)) % 2
-        row = (coeff_i << i)
-        for j in adj:
-            row ^= 1 << j
-        rows.append(row)
-        rhs.append(1 ^ a)
-    return ConstraintSystem(len(zd.zones), tuple(rows), tuple(rhs))
-
-
-def signature_of(zd: ZoneDecomposition, profiles, assignment) -> Tuple:
-    """External-zone (parity, type) pairs under one type-bit assignment."""
-    sig = []
-    for i in zd.external_zones:
-        a, a1 = profiles[i]
-        t_i = (assignment >> i) & 1
-        p = a ^ ((a ^ a1) & t_i)
-        for j in zd.adjacency(i):
-            p ^= t_i ^ ((assignment >> j) & 1)
-        sig.append((p, t_i))
-    return tuple(sig)
-
-
-def external_form(zd: ZoneDecomposition) -> StateForm:
-    """Block form of a decomposition with no internal zones: all type
-    signatures appear once and parities follow from profiles and links."""
-    if zd.internal_zones:
-        raise ValueError("decomposition has internal zones")
-    return _form_of(zd)
-
-
-def internal_form(zd: ZoneDecomposition) -> StateForm:
-    """Block form in the general case: internal zones become constraints."""
-    return _form_of(zd)
-
-
-def phased_form(d: Diagram) -> StateForm:
-    """Block form of a single-zone (fully phased) state diagram."""
-    zd = zone_decompose(as_state(d))
-    if len(zd.zones) != 1 or zd.links:
-        raise ValueError("diagram is not a single phased zone")
-    return _form_of(zd)
+    return _constraints(zd, _parity_maps(zd))
 
 
 def _form_of(zd: ZoneDecomposition) -> StateForm:
-    profiles = [zone_profile(zd.diagram, z.boxes) for z in zd.zones]
-    system = constraint_system(zd)
-    tally: Dict[Tuple, int] = {}
-    for assignment in system.solutions():
-        sig = signature_of(zd, profiles, assignment)
-        tally[sig] = tally.get(sig, 0) + 1
-    ordered = sorted(tally.items(),
-                     key=lambda kv: (tuple(t for _, t in kv[0]),
-                                     tuple(p for p, _ in kv[0])))
+    maps = _parity_maps(zd)
+    system = _constraints(zd, maps)
+    external = zd.external_zones
+    e = len(external)
+    signatures = []
+    solved = gf2.solve(system.rows, system.rhs, system.n_vars)
+    if solved is not None:
+        particular, kernel = solved
+        # a signature packed into 2e bits, the types above the parities, so
+        # that packed values sort as the signatures do, by (types, parities)
+        outputs = [(1 << i, 0) for i in external] + [maps[i] for i in external]
+
+        def pack(x):
+            out = 0
+            for mask, offset in outputs:
+                out = (out << 1) | (((mask & x).bit_count() + offset) & 1)
+            return out
+
+        # the image is pack(particular) plus the span of the kernel's images
+        # under the map's linear part
+        basis = gf2.rref([pack(k) ^ pack(0) for k in kernel], 2 * e)
+        image = [pack(particular)]
+        for v in basis:
+            image += [w ^ v for w in image]
+        count = 1 << (len(kernel) - len(basis))
+        for w in sorted(image):
+            bits = [int(c) for c in format(w, "0%db" % (2 * e))]
+            signatures.append((tuple(zip(bits[e:], bits[:e])), count))
     return StateForm(
-        zone_legs=tuple(len(zd.zones[i].legs) for i in zd.external_zones),
-        signatures=tuple(ordered),
+        zone_legs=tuple(len(zd.zones[i].legs) for i in external),
+        signatures=tuple(signatures),
         leg_order=zd.leg_reorder,
     )
 
@@ -251,10 +249,10 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
 
 @dataclass(frozen=True)
 class DuplicationReport:
-    """How far the signature tally over-counts distinct blocks.
+    """How many type assignments give each distinct block.
 
-    Each distinct signature appears the same number of times; the common
-    multiplicity equals 2 to the number of linearly dependent internal-zone
+    Every signature has the same multiplicity, ``duplication_factor``,
+    checked to be 2 to the number of linearly dependent internal-zone
     constraints.  The witness sets are the inclusion-minimal nonempty sets
     of internal zones whose external neighbourhoods cancel pairwise (each
     externally linked zone being covered an even number of times).
@@ -267,31 +265,39 @@ class DuplicationReport:
     acs: Tuple[Tuple[int, ...], ...]
 
 
+MAX_ACS_ZONES = 16              # the witness search tries every subset
+
+
 def duplication_analysis(d: Diagram) -> DuplicationReport:
     zd = zone_decompose(as_state(d))
     system = constraint_system(zd)
     internal = zd.internal_zones
     external = set(zd.external_zones)
+    if len(internal) > MAX_ACS_ZONES:
+        raise CapacityError("cancelling-set search over %d internal zones "
+                            "(limit %d)" % (len(internal), MAX_ACS_ZONES))
 
     form, _ = state_form(d)
     counts = {count for _, count in form.signatures}
-    assert len(counts) <= 1, "signature multiplicities must be uniform"
+    if len(counts) > 1:
+        raise RuntimeError("signature multiplicities are not uniform: %s"
+                           % sorted(counts))
     factor = counts.pop() if counts else 0
     dependent = len(system.rows) - system.rank
-    if form.signatures:
-        assert factor == 1 << dependent
+    if form.signatures and factor != 1 << dependent:
+        raise RuntimeError("multiplicity %d is not 2^%d, from the %d dependent "
+                           "constraints" % (factor, dependent, dependent))
 
     acs = []
-    if len(internal) <= 16:
-        for size in range(1, len(internal) + 1):
-            for combo in itertools.combinations(internal, size):
-                cover = 0
-                for i in combo:
-                    for j in zd.adjacency(i):
-                        if j in external:
-                            cover ^= 1 << j
-                if cover == 0 and not any(set(a) <= set(combo) for a in acs):
-                    acs.append(combo)
+    for size in range(1, len(internal) + 1):
+        for combo in itertools.combinations(internal, size):
+            cover = 0
+            for i in combo:
+                for j in zd.adjacency(i):
+                    if j in external:
+                        cover ^= 1 << j
+            if cover == 0 and not any(set(a) <= set(combo) for a in acs):
+                acs.append(combo)
     return DuplicationReport(
         n_zones=len(zd.zones),
         internal_zones=internal,

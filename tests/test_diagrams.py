@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from nets import chain_int
 from spekcat import diagrams as dg
 from spekcat import relations as rel
+from spekcat import signatures as sg
 from spekcat import worked
 from spekcat.generate import random_diagram
 from spekcat.generators import GeneratorId, resolve
@@ -146,6 +149,120 @@ def test_capacity_ceiling(monkeypatch):
     lines.append("out " + " ".join("u%d.1" % k for k in range(6)))
     with pytest.raises(CapacityError):
         dg.evaluate(dg.parse("\n".join(lines) + "\n"))
+
+
+# Seeds in range(300) whose random_diagram state raises CapacityError at
+# SPEK_MAX_CELLS=16 (intermediates wider than 4 variables), under the
+# default schedule and under rng=random.Random(seed).  Recorded from the
+# scheduler that rescanned every factor at each step; the incremental one
+# must choose the same pairs.
+CAPACITY_SEEDS = (
+    9, 25, 33, 39, 41, 47, 50, 64, 72, 75, 78, 81, 83, 85, 92, 99, 100, 102,
+    103, 111, 116, 117, 125, 129, 134, 136, 146, 148, 155, 163, 170, 177,
+    179, 188, 208, 211, 221, 226, 229, 233, 234, 235, 239, 251, 256, 258,
+    262, 263, 277, 279, 285, 292, 299)
+CAPACITY_SEEDS_RNG = (
+    9, 11, 24, 25, 27, 28, 33, 36, 39, 40, 41, 42, 44, 47, 50, 51, 59, 64,
+    72, 74, 75, 77, 78, 81, 82, 83, 84, 85, 88, 90, 92, 93, 99, 100, 102,
+    103, 106, 109, 111, 112, 114, 115, 116, 117, 119, 120, 125, 129, 134,
+    136, 140, 146, 148, 150, 152, 154, 155, 156, 157, 162, 163, 170, 171,
+    172, 173, 177, 179, 182, 188, 189, 191, 193, 202, 205, 207, 208, 210,
+    211, 217, 221, 225, 226, 227, 228, 229, 233, 234, 235, 237, 238, 239,
+    244, 247, 248, 251, 253, 256, 258, 262, 263, 264, 268, 270, 277, 279,
+    285, 291, 292, 297, 299)
+
+
+def test_capacity_errors_follow_the_schedule(monkeypatch):
+    monkeypatch.setenv("SPEK_MAX_CELLS", "16")
+    for schedule, pinned in ((lambda seed: None, CAPACITY_SEEDS),
+                             (random.Random, CAPACITY_SEEDS_RNG)):
+        raised = []
+        for seed in range(300):
+            d = dg.as_state(random_diagram(seed))
+            try:
+                dg.evaluate(d, rng=schedule(seed))
+            except CapacityError:
+                raised.append(seed)
+        assert tuple(raised) == pinned
+
+
+def rescanning_schedule(d, rng=None):
+    """Reference: the joins the greedy scheduler makes, as pairs of factor
+    variable lists, recounting every variable for every candidate pair."""
+    port_var = {}
+    for w, (a, b) in enumerate(d.wires):
+        port_var[a] = port_var[b] = ("w", w)
+    for k, (port, _) in enumerate(d.legs):
+        port_var[port] = ("l", k)
+    protected = {("l", k) for k in range(len(d.legs))}
+    factors = [list(dict.fromkeys(port_var[(name, s)] for s in dg.slots(gen)))
+               for name, gen in d.boxes]
+
+    def count(v):
+        return sum(v in f for f in factors)
+
+    def eliminable(fa, fb):
+        return {v for v in fa if v in fb and count(v) == 2
+                and v not in protected}
+
+    factors = [[v for v in f if count(v) > 1 or v in protected]
+               for f in factors]
+    joins = []
+    while len(factors) > 1:
+        candidates = [
+            (len(set(factors[i]) | set(factors[j]))
+             - len(eliminable(factors[i], factors[j])), i, j)
+            for i, j in itertools.combinations(range(len(factors)), 2)
+            if set(factors[i]) & set(factors[j])]
+        if not candidates:          # disconnected: tensor in factor order
+            merged = factors[0]
+            for f in factors[1:]:
+                joins.append((merged, f))
+                merged = merged + f
+            break
+        _, i, j = (min(candidates) if rng is None
+                   else rng.choice(sorted(candidates)))
+        fi, fj = factors[i], factors[j]
+        joins.append((fi, fj))
+        gone = eliminable(fi, fj)
+        merged = [v for v in fi + [v for v in fj if v not in fi]
+                  if v not in gone]
+        factors = [f for k, f in enumerate(factors) if k not in (i, j)]
+        factors.append(merged)
+    return joins
+
+
+def test_schedule_matches_rescanning_reference(monkeypatch):
+    joins = []
+    join = dg._join
+
+    def recording_join(f1, f2):
+        joins.append((list(f1.vars), list(f2.vars)))
+        return join(f1, f2)
+
+    monkeypatch.setattr(dg, "_join", recording_join)
+    for seed in range(200):
+        d = dg.as_state(random_diagram(seed, max_boxes=12))
+        for schedule in (lambda: None, lambda: random.Random(seed)):
+            joins.clear()
+            dg.evaluate(d, rng=schedule())
+            assert joins == rescanning_schedule(d, rng=schedule())
+
+
+def test_evaluate_long_chain_matches_closed_form():
+    d = dg.parse(chain_int(60))
+    form, _ = sg.state_form(d)
+    assert dg.evaluate(d) == form.expand()
+
+
+def test_evaluate_raises_when_internal_vars_remain(monkeypatch):
+    # one box whose inputs are wired together: the loop variable is summed
+    # out by a drop before any join
+    d = dg.parse("box m: delta+\nwire m.in m.in2\nout m.1\n")
+    assert dg.evaluate(d).cod.arity == 1
+    monkeypatch.setattr(dg._Factor, "drop", lambda self, gone: None)
+    with pytest.raises(RuntimeError):
+        dg.evaluate(d)
 
 
 def test_source_round_trip():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from spekcat.permutations import (IDENTITY_4, SIGMA, Z2_SWAP, Permutation,
@@ -93,3 +95,19 @@ def test_bad_cycles_rejected():
         perm_from_cycles("(15)")
     with pytest.raises(ValueError):
         perm_from_cycles("(11)")
+
+
+def test_sigma_table_matches_word_search():
+    # reference: rank every word of length <= 5 over the phased
+    # permutations and Sigma by (Sigma count, length, factor names)
+    alphabet = sorted(phased_permutations(), key=lambda p: p.name) + [SIGMA]
+    best = {}
+    for length in range(6):
+        for word in itertools.product(alphabet, repeat=length):
+            key = (word.count(SIGMA), length, tuple(f.name for f in word))
+            p = compose_all(word)
+            if p not in best or key < best[p][0]:
+                best[p] = (key, word)
+    assert len(best) == 24
+    for p, (_, word) in best.items():
+        assert sigma_decompose(p) == word

@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nets import fan
 from spekcat import diagrams as dg
 from spekcat import signatures as sg
 from spekcat import worked
 from spekcat.generate import random_diagram
-from spekcat.permutations import Z2_SWAP
+from spekcat.relations import CapacityError
 
 TRIANGLE_SIGNATURES = [
     (((0, 0), (0, 0), (1, 0)), 1),
@@ -90,32 +92,24 @@ def test_inconsistent_constraints_give_empty():
 
 
 def test_phased_form_of_diagonal():
-    form = sg.phased_form(worked.eta_diagram())
+    form, zd = sg.state_form(worked.eta_diagram())
+    assert len(zd.zones) == 1 and not zd.links
     assert form.signatures == ((((1, 0),), 1), (((1, 1),), 1))
     assert form.expand() == dg.evaluate(worked.eta_diagram())
 
 
 def test_phased_form_of_unit_state():
-    form = sg.phased_form(dg.parse("box e: eps+\nout e.1\n"))
+    form, _ = sg.state_form(dg.parse("box e: eps+\nout e.1\n"))
     assert form.expand().pairs == frozenset({((), (1,)), ((), (3,))})
 
 
-def test_phased_form_rejects_linked_diagrams():
-    with pytest.raises(ValueError):
-        sg.phased_form(worked.triangle_diagram())
-
-
-def test_external_form_rejects_internal_zones():
-    zd = dg.zone_decompose(worked.triangle_internalized_diagram())
-    with pytest.raises(ValueError):
-        sg.external_form(zd)
-
-
 def test_external_form_type_signatures_exhaustive():
-    zd = dg.zone_decompose(worked.triangle_diagram())
-    form = sg.external_form(zd)
+    # no internal zones: every type assignment appears, once
+    form, zd = sg.state_form(worked.triangle_diagram())
+    assert not zd.internal_zones
     types = sorted(tuple(t for _, t in sig) for sig, _ in form.signatures)
     assert types == sorted(itertools.product((0, 1), repeat=3))
+    assert {count for _, count in form.signatures} == {1}
 
 
 def test_parity_flip_when_linking_mixed_types():
@@ -154,6 +148,66 @@ def test_duplication_trivial_when_constraints_independent():
     rep = sg.duplication_analysis(worked.triangle_internalized_diagram())
     assert rep.duplication_factor == 1
     assert rep.distinct_signatures == 4
+
+
+def test_duplication_refuses_many_internal_zones():
+    with pytest.raises(CapacityError):
+        sg.duplication_analysis(dg.parse(fan(sg.MAX_ACS_ZONES + 1)))
+
+
+def test_duplication_invariants_raise(monkeypatch):
+    d = worked.chain_diagram()
+    form, zd = sg.state_form(d)
+    (first, count), *rest = form.signatures
+    uneven = ((first, 2 * count),) + tuple(rest)
+    doubled = tuple((sig, 2 * n) for sig, n in form.signatures)
+    for bad in (uneven, doubled):
+        bad_form = dataclasses.replace(form, signatures=bad)
+        monkeypatch.setattr(sg, "state_form", lambda _: (bad_form, zd))
+        with pytest.raises(RuntimeError):
+            sg.duplication_analysis(d)
+
+
+def tally_per_solution(d):
+    """Reference closed form: walk every type assignment, keep those that
+    make each internal zone's parity Even, and tally the external zones'
+    (parity, type) pairs."""
+    zd = dg.zone_decompose(dg.as_state(d))
+    profiles = [sg.zone_profile(zd.diagram, z.boxes) for z in zd.zones]
+
+    def zone_bits(i, assignment):
+        a, a1 = profiles[i]
+        t = (assignment >> i) & 1
+        p = a ^ ((a ^ a1) & t)
+        for j in zd.adjacency(i):
+            p ^= t ^ ((assignment >> j) & 1)
+        return p, t
+
+    tally = {}
+    for assignment in range(1 << len(zd.zones)):
+        if all(zone_bits(i, assignment)[0] == 1 for i in zd.internal_zones):
+            sig = tuple(zone_bits(i, assignment) for i in zd.external_zones)
+            tally[sig] = tally.get(sig, 0) + 1
+    return tuple(sorted(tally.items(),
+                        key=lambda kv: (tuple(t for _, t in kv[0]),
+                                        tuple(p for p, _ in kv[0]))))
+
+
+def test_closed_form_matches_tally_on_fans():
+    for m in range(1, 9):
+        form, _ = sg.state_form(dg.parse(fan(m)))
+        assert form.signatures == tally_per_solution(dg.parse(fan(m)))
+        assert {n for _, n in form.signatures} == {1 << (m - 1)}
+
+
+def test_closed_form_matches_tally_on_random_diagrams():
+    repeated = 0
+    for seed in range(200):
+        d = random_diagram(seed)
+        form, _ = sg.state_form(d)
+        assert form.signatures == tally_per_solution(d)
+        repeated += any(n > 1 for _, n in form.signatures)
+    assert repeated
 
 
 def test_halfspek_parity_matches_evaluation():
