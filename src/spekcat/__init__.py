@@ -1,13 +1,13 @@
 """Exact relational models of the toy theories Spek, MSpek and HalfSpek."""
 
 from .relations import (CapacityError, CompositionError, Relation, Space,
-                        compose, converse, identity, marginal, tensor)
+                        identity)
 from .generators import GeneratorId, TheoryError, generator_set, resolve
 from .diagrams import Diagram, DiagramError, bend_leg, evaluate, parse
 
 __all__ = [
     "CapacityError", "CompositionError", "Relation", "Space",
-    "compose", "converse", "identity", "marginal", "tensor",
+    "identity",
     "GeneratorId", "TheoryError", "generator_set", "resolve",
     "Diagram", "DiagramError", "bend_leg", "evaluate", "parse",
 ]

@@ -12,12 +12,14 @@ from . import signatures as sg
 from . import verification as vf
 from .generators import HALFSPEK, MSPEK, SPEK, GeneratorId, resolve
 from .generate import random_diagram
-from .relations import CapacityError, Relation
+from .relations import CapacityError, max_arity
 
 EXIT_PARSE = 1
 EXIT_CAPACITY = 2
 EXIT_THEORY = 3
 EXIT_MISMATCH = 4
+EXIT_VERIFY = 5
+EXIT_ENV = 6
 
 
 def _read_diagram(path):
@@ -35,12 +37,7 @@ def _read_diagram(path):
 
 
 def cmd_eval(args):
-    d = _read_diagram(args.path)
-    try:
-        r = dg.evaluate(d)
-    except CapacityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CAPACITY
+    r = dg.evaluate(_read_diagram(args.path))
     if args.format == "jsonl":
         for a, b in sorted(r.pairs):
             print(json.dumps({"in": list(a), "out": list(b)}))
@@ -55,11 +52,7 @@ def cmd_form(args):
         print("error: closed forms are defined for spek diagrams only",
               file=sys.stderr)
         return EXIT_THEORY
-    try:
-        form, zd = sg.state_form(d)
-    except CapacityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CAPACITY
+    form, zd = sg.state_form(d)
     system = sg.constraint_system(zd)
     if args.format == "jsonl":
         for sig, count in form.signatures:
@@ -90,16 +83,11 @@ def _compare_one(d, label):
 
 def cmd_compare(args):
     ok = True
-    try:
-        if args.random:
-            for k in range(args.random):
-                d = random_diagram(args.seed + k, theory=args.theory)
-                ok = _compare_one(d, "seed=%d" % (args.seed + k)) and ok
-        for path in args.paths:
-            ok = _compare_one(_read_diagram(path), path) and ok
-    except CapacityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CAPACITY
+    for k in range(args.random):
+        d = random_diagram(args.seed + k, theory=args.theory)
+        ok = _compare_one(d, "seed=%d" % (args.seed + k)) and ok
+    for path in args.paths:
+        ok = _compare_one(_read_diagram(path), path) and ok
     if ok:
         print("OK")
     return 0 if ok else EXIT_MISMATCH
@@ -109,11 +97,7 @@ def cmd_enumerate(args):
     if args.arity > 3:
         print("warning: arity %d enumeration may take a long time"
               % args.arity, file=sys.stderr)
-    try:
-        states = vf.enumerate_states(args.theory, args.arity)
-    except (CapacityError, MemoryError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CAPACITY
+    states = vf.enumerate_states(args.theory, args.arity)
     for n in sorted(states):
         if args.format == "jsonl":
             print(json.dumps({"legs": n, "states": len(states[n])}))
@@ -194,7 +178,7 @@ def cmd_verify(args):
                               "detail": detail}))
         else:
             print(("%s %s %s" % (status, name, detail)).rstrip())
-    return 0 if ok else 1
+    return 0 if ok else EXIT_VERIFY
 
 
 def main(argv=None):
@@ -235,7 +219,23 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        max_arity()
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ENV
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (CapacityError, MemoryError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CAPACITY
+    except BrokenPipeError:
+        # the reader has gone (e.g. `| head`): stop quietly, and send the
+        # rest of the buffered output, flushed at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -5,16 +5,19 @@ ordered list of open legs.  Ports are written ``<box>.<slot>`` where input
 slots are named ``in``, ``in2``, ... and output slots ``1``, ``2``, ...
 Wires are direction-free: the induced compact structure of the theories is
 the plain diagonal, so a wire always means equality of the two port values.
+The port index, which says what each port is attached to, is built once per
+diagram by ``Diagram.validate`` and read by evaluation and every rewriting
+pass.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, Tuple
 
 from . import relations as rel
-from .generators import (GeneratorId, HALFSPEK, MSPEK, SPEK, arity,
+from .generators import (ARITIES, GeneratorId, HALFSPEK, MSPEK, SPEK,
                          parse_generator_name, resolve)
 from .permutations import SIGMA, sigma_decompose
 from .relations import CapacityError, Relation, Space, max_arity
@@ -30,10 +33,16 @@ class DiagramError(ValueError):
         self.line = line
 
 
-def slots(gen: GeneratorId) -> List[str]:
-    n_in, n_out = arity(gen)
-    ins = ["in"] + ["in%d" % k for k in range(2, n_in + 1)] if n_in else []
-    return ins + [str(k) for k in range(1, n_out + 1)]
+def _slot_names(n_in, n_out):
+    ins = ("in",) + tuple("in%d" % k for k in range(2, n_in + 1))
+    return ins[:n_in] + tuple(str(k) for k in range(1, n_out + 1))
+
+
+_SLOTS = {tag: _slot_names(*io) for tag, io in ARITIES.items()}
+
+
+def slots(gen: GeneratorId) -> Tuple[str, ...]:
+    return _SLOTS[gen.tag]
 
 
 @dataclass(frozen=True)
@@ -43,9 +52,16 @@ class Diagram:
     wires: Tuple[Tuple[Port, Port], ...] = ()
     legs: Tuple[Tuple[Port, str], ...] = ()      # (port, "in"|"out"), ordered
 
-    @property
+    @cached_property
     def box_map(self) -> Dict[str, GeneratorId]:
+        """Box id -> generator (shared: do not modify)."""
         return dict(self.boxes)
+
+    @property
+    def ports(self) -> Dict[Port, tuple]:
+        """The port index: what each port is attached to, ``("wire", i,
+        other)`` or ``("leg", k)`` (shared: do not modify)."""
+        return self.validate()._ports
 
     @property
     def base_space(self) -> Space:
@@ -58,7 +74,14 @@ class Diagram:
         return sum(1 for _, d in self.legs if d == "out")
 
     def validate(self):
-        seen_ports = {}
+        """Check the diagram and build its port index.
+
+        Both happen once per object: every field is immutable, so a later
+        call returns at once.
+        """
+        if "_ports" in self.__dict__:
+            return self
+        index = {}
         box_map = self.box_map
         if len(box_map) != len(self.boxes):
             raise DiagramError("duplicate box id")
@@ -69,27 +92,28 @@ class Diagram:
                 raise DiagramError("box %s uses theory %s in a %s diagram"
                                    % (name, gen.theory, self.theory))
 
-        def touch(port, where):
+        def touch(port, where, entry):
             box, slot = port
             if box not in box_map:
                 raise DiagramError("unknown box %r in %s" % (box, where))
             if slot not in slots(box_map[box]):
                 raise DiagramError("box %r has no slot %r" % (box, slot))
-            if port in seen_ports:
+            if port in index:
                 raise DiagramError("port %s.%s used more than once" % port)
-            seen_ports[port] = where
+            index[port] = entry
 
-        for a, b in self.wires:
+        for i, (a, b) in enumerate(self.wires):
             if a == b:
                 raise DiagramError("wire from port %s.%s to itself" % a)
-            touch(a, "wire")
-            touch(b, "wire")
-        for port, _ in self.legs:
-            touch(port, "leg")
+            touch(a, "wire", ("wire", i, b))
+            touch(b, "wire", ("wire", i, a))
+        for k, (port, _) in enumerate(self.legs):
+            touch(port, "leg", ("leg", k))
         for name, gen in self.boxes:
             for slot in slots(gen):
-                if (name, slot) not in seen_ports:
+                if (name, slot) not in index:
                     raise DiagramError("dangling port %s.%s" % (name, slot))
+        object.__setattr__(self, "_ports", index)
         return self
 
     def to_source(self) -> str:
@@ -213,20 +237,15 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     with the narrowest result, ties to the earliest pair in factor order
     (``rng`` picks among all candidates instead).
     """
-    d.validate()
-    port_var = {}
-    for w, (a, b) in enumerate(d.wires):
-        port_var[a] = port_var[b] = ("w", w)
-    for k, (port, _) in enumerate(d.legs):
-        port_var[port] = ("l", k)
+    # variables: ("w", i) for wire i, ("l", k) for leg k
+    port_var = {port: (kind[0][0], kind[1]) for port, kind in d.ports.items()}
     protected = {("l", k) for k in range(len(d.legs))}
 
     # factors by id; ids grow, so id order is the factor order
     factors = {}
     for name, gen in d.boxes:
         r = resolve(gen)
-        ports = [(name, s) for s in slots(gen)]
-        factors[len(factors)] = _Factor([port_var[p] for p in ports],
+        factors[len(factors)] = _Factor([port_var[name, s] for s in slots(gen)],
                                         (a + b for a, b in r.pairs))
     if not factors:
         return rel.scalar(True)
@@ -292,58 +311,7 @@ def evaluate(d: Diagram, rng=None) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# Leg bending (map-state duality).
-
-
-def _fresh(box_map, stem):
-    for k in itertools.count():
-        name = "%s%d" % (stem, k)
-        if name not in box_map:
-            return name
-
-
-def bend_leg(d: Diagram, leg_index: int) -> Diagram:
-    """Turn open leg ``leg_index`` (0-based) from input to output or back.
-
-    The bent leg is re-attached at the end of the leg list, through the unit
-    (delta after eps+) or counit (delta+ into eps) of the induced compact
-    structure.
-    """
-    d.validate()
-    if not 0 <= leg_index < len(d.legs):
-        raise DiagramError("no open leg %d" % leg_index)
-    box_map = d.box_map
-    port, direction = d.legs[leg_index]
-    boxes = list(d.boxes)
-    wires = list(d.wires)
-    legs = [lg for k, lg in enumerate(d.legs) if k != leg_index]
-    if direction == "in":
-        u = _fresh(box_map, "_cup")
-        v = _fresh(box_map, "_cupd")
-        boxes += [(u, GeneratorId("epsilon_dagger", d.theory)),
-                  (v, GeneratorId("delta", d.theory))]
-        wires += [((u, "1"), (v, "in")), ((v, "1"), port)]
-        legs.append(((v, "2"), "out"))
-    else:
-        w = _fresh(box_map, "_capd")
-        e = _fresh(box_map, "_cap")
-        boxes += [(w, GeneratorId("delta_dagger", d.theory)),
-                  (e, GeneratorId("epsilon", d.theory))]
-        wires += [(port, (w, "in")), ((w, "1"), (e, "in"))]
-        legs.append(((w, "in2"), "in"))
-    return Diagram(d.theory, tuple(boxes), tuple(wires), tuple(legs)).validate()
-
-
-def as_state(d: Diagram) -> Diagram:
-    """Bend every input leg so the diagram denotes a state."""
-    while any(dr == "in" for _, dr in d.legs):
-        k = next(k for k, (_, dr) in enumerate(d.legs) if dr == "in")
-        d = bend_leg(d, k)
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Sigma normalisation and zone decomposition.
+# Rewriting: leg bending (map-state duality) and Sigma normalisation.
 
 
 def _is_sigma(gen: GeneratorId) -> bool:
@@ -358,52 +326,106 @@ def _is_phased_box(gen: GeneratorId) -> bool:
 
 
 class _Builder:
-    """Mutable companion of Diagram used by the rewriting passes."""
+    """Mutable companion of Diagram used by the rewriting passes.
+
+    Every edit keeps the port index (as in ``Diagram.ports``) up to date.
+    A removed wire or leg leaves a ``None`` hole until ``finish``, so the
+    positions the index holds stay valid.
+    """
 
     def __init__(self, d: Diagram):
         self.theory = d.theory
-        self.boxes = list(d.boxes)
+        self.box_map = dict(d.box_map)     # in box order
         self.wires = list(d.wires)
         self.legs = list(d.legs)
-        self._names = {name for name, _ in self.boxes}
-
-    def fresh(self, stem):
-        for k in itertools.count():
-            name = "%s%d" % (stem, k)
-            if name not in self._names:
-                self._names.add(name)
-                return name
+        self.index = dict(d.ports)
+        self._names = set(self.box_map)    # removed names are not reused
+        self._next = {}                    # stem -> lowest suffix maybe free
 
     def add_box(self, stem, gen):
-        name = self.fresh(stem)
-        self.boxes.append((name, gen))
+        """Add a box named ``<stem><k>`` with the lowest unused k."""
+        k = self._next.get(stem, 0)
+        while "%s%d" % (stem, k) in self._names:
+            k += 1
+        self._next[stem] = k + 1
+        name = "%s%d" % (stem, k)
+        self._names.add(name)
+        self.box_map[name] = gen
         return name
 
-    def attachment(self, port):
-        """What a port is connected to: ('wire', idx, other) or ('leg', idx)."""
-        for i, (a, b) in enumerate(self.wires):
-            if a == port:
-                return ("wire", i, b)
-            if b == port:
-                return ("wire", i, a)
-        for i, (p, _) in enumerate(self.legs):
-            if p == port:
-                return ("leg", i)
-        raise DiagramError("port %s.%s is not attached" % port)
+    def add_wire(self, a, b):
+        self.index[a] = ("wire", len(self.wires), b)
+        self.index[b] = ("wire", len(self.wires), a)
+        self.wires.append((a, b))
+
+    def remove_wire(self, i):
+        for port in self.wires[i]:
+            del self.index[port]
+        self.wires[i] = None
+
+    def add_leg(self, port, direction):
+        self.index[port] = ("leg", len(self.legs))
+        self.legs.append((port, direction))
 
     def reattach(self, port, new_port):
         """Move whatever was attached at ``port`` onto ``new_port``."""
-        kind = self.attachment(port)
+        kind = self.index.pop(port)
+        self.index[new_port] = kind
         if kind[0] == "wire":
-            i, other = kind[1], kind[2]
+            _, i, other = kind
             self.wires[i] = (other, new_port)
+            self.index[other] = ("wire", i, new_port)
         else:
             i = kind[1]
             self.legs[i] = (new_port, self.legs[i][1])
 
+    def bend(self, k):
+        """Turn open leg k around; the bent leg is appended to the legs."""
+        port, direction = self.legs[k]
+        self.legs[k] = None                # port is wired up below
+        if direction == "in":
+            u = self.add_box("_cup", GeneratorId("epsilon_dagger", self.theory))
+            v = self.add_box("_cupd", GeneratorId("delta", self.theory))
+            self.add_wire((u, "1"), (v, "in"))
+            self.add_wire((v, "1"), port)
+            self.add_leg((v, "2"), "out")
+        else:
+            w = self.add_box("_capd", GeneratorId("delta_dagger", self.theory))
+            e = self.add_box("_cap", GeneratorId("epsilon", self.theory))
+            self.add_wire(port, (w, "in"))
+            self.add_wire((w, "1"), (e, "in"))
+            self.add_leg((w, "in2"), "in")
+
     def finish(self) -> Diagram:
-        return Diagram(self.theory, tuple(self.boxes), tuple(self.wires),
-                       tuple(self.legs)).validate()
+        return Diagram(self.theory, tuple(self.box_map.items()),
+                       tuple([w for w in self.wires if w is not None]),
+                       tuple([lg for lg in self.legs if lg is not None])
+                       ).validate()
+
+
+def bend_leg(d: Diagram, leg_index: int) -> Diagram:
+    """Turn open leg ``leg_index`` (0-based) from input to output or back.
+
+    The bent leg is re-attached at the end of the leg list, through the unit
+    (delta after eps+) or counit (delta+ into eps) of the induced compact
+    structure.
+    """
+    b = _Builder(d)
+    if not 0 <= leg_index < len(d.legs):
+        raise DiagramError("no open leg %d" % leg_index)
+    b.bend(leg_index)
+    return b.finish()
+
+
+def as_state(d: Diagram) -> Diagram:
+    """Bend every input leg so the diagram denotes a state."""
+    ins = [k for k, (_, dr) in enumerate(d.legs) if dr == "in"]
+    if not ins:
+        return d
+    b = _Builder(d)
+    for k in ins:
+        b.bend(k)
+    return b.finish()
 
 
 def sigma_normalize(d: Diagram) -> Diagram:
@@ -419,41 +441,38 @@ def sigma_normalize(d: Diagram) -> Diagram:
     b = _Builder(d)
 
     # dissolve swap boxes into crossing connections
-    for name, gen in list(b.boxes):
+    for name, gen in d.boxes:
         if gen.tag != "swap":
             continue
-        b.boxes.remove((name, gen))
-        for src, dst in ((("in"), ("2")), (("in2"), ("1"))):
+        del b.box_map[name]
+        for src, dst in (("in", "2"), ("in2", "1")):
             spacer = b.add_box("_x", GeneratorId("identity", SPEK))
             b.reattach((name, src), (spacer, "in"))
             b.reattach((name, dst), (spacer, "1"))
 
     # factor unphased permutations through Sigma
-    for name, gen in list(b.boxes):
+    for name, gen in d.boxes:
         if gen.tag != "perm" or gen.perm.is_phased:
             continue
-        b.boxes.remove((name, gen))
+        del b.box_map[name]
         factors = sigma_decompose(gen.perm)
         chain = [b.add_box("_s" if f == SIGMA else "_p",
                            GeneratorId("perm", SPEK, f)) for f in factors]
         b.reattach((name, "in"), (chain[0], "in"))
         b.reattach((name, "1"), (chain[-1], "1"))
         for left, right in zip(chain, chain[1:]):
-            b.wires.append(((left, "1"), (right, "in")))
+            b.add_wire((left, "1"), (right, "in"))
 
     # pad Sigma boxes so both neighbours are phased
-    box_map = dict(b.boxes)
-    for name, gen in list(b.boxes):
+    for name, gen in list(b.box_map.items()):
         if not _is_sigma(gen):
             continue
         for slot in ("in", "1"):
-            kind = b.attachment((name, slot))
-            needs_pad = kind[0] == "leg" or _is_sigma(box_map[kind[2][0]])
-            if needs_pad:
+            kind = b.index[name, slot]
+            if kind[0] == "leg" or _is_sigma(b.box_map[kind[2][0]]):
                 spacer = b.add_box("_i", GeneratorId("identity", SPEK))
                 b.reattach((name, slot), (spacer, "in"))
-                b.wires.append(((spacer, "1"), (name, slot)))
-                box_map = dict(b.boxes)
+                b.add_wire((spacer, "1"), (name, slot))
     return b.finish()
 
 
@@ -482,15 +501,18 @@ class ZoneDecomposition:
     def internal_zones(self):
         return tuple(i for i, z in enumerate(self.zones) if z.is_internal)
 
+    @cached_property
+    def _odd_links(self):
+        odd = {}
+        for a, b in self.links:
+            if a != b:
+                odd.setdefault(a, set()).symmetric_difference_update({b})
+                odd.setdefault(b, set()).symmetric_difference_update({a})
+        return odd
+
     def adjacency(self, i):
         """Zones linked to zone i an odd number of times (self-links drop out)."""
-        count = {}
-        for a, zb in self.links:
-            if a == i and zb != i:
-                count[zb] = count.get(zb, 0) + 1
-            elif zb == i and a != i:
-                count[a] = count.get(a, 0) + 1
-        return {j for j, c in count.items() if c % 2}
+        return set(self._odd_links.get(i, ()))
 
 
 def zone_decompose(d: Diagram) -> ZoneDecomposition:
@@ -499,7 +521,9 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
     box_map = nd.box_map
     phased = [name for name, gen in nd.boxes if not _is_sigma(gen)]
     for name in phased:
-        assert _is_phased_box(box_map[name])
+        if not _is_phased_box(box_map[name]):
+            raise RuntimeError("Sigma normalisation left unphased box %s"
+                               % name)
 
     parent = {name: name for name in phased}
 
@@ -515,7 +539,7 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
 
     roots = sorted({find(name) for name in phased})
     comp_of = {name: find(name) for name in phased}
-    zone_boxes = {r: [] for r in roots}
+    zone_boxes = {r: [] for r in roots}     # each in box order
     for name, _ in nd.boxes:
         if name in comp_of:
             zone_boxes[comp_of[name]].append(name)
@@ -528,24 +552,25 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
     external = sorted((r for r in roots if zone_legs[r]),
                       key=lambda r: min(zone_legs[r]))
     internal = sorted((r for r in roots if not zone_legs[r]),
-                      key=lambda r: min(box_order[n] for n in zone_boxes[r]))
+                      key=lambda r: box_order[zone_boxes[r][0]])
     ordering = external + internal
     zone_index = {r: i for i, r in enumerate(ordering)}
 
     links = []
+    ports = nd.ports
     for name, gen in nd.boxes:
         if not _is_sigma(gen):
             continue
         ends = []
-        b = _Builder(nd)
         for slot in ("in", "1"):
-            kind = b.attachment((name, slot))
-            assert kind[0] == "wire"
+            kind = ports[name, slot]
+            if kind[0] != "wire":
+                raise RuntimeError("Sigma box %s ends in an open leg" % name)
             ends.append(zone_index[comp_of[kind[2][0]]])
         links.append(tuple(sorted(ends)))
 
-    zones = tuple(Zone(tuple(sorted(zone_boxes[r], key=box_order.get)),
-                       tuple(zone_legs[r])) for r in ordering)
+    zones = tuple(Zone(tuple(zone_boxes[r]), tuple(zone_legs[r]))
+                  for r in ordering)
     reorder = tuple(k for z in zones for k in z.legs)
     return ZoneDecomposition(nd, zones, tuple(links), reorder)
 
@@ -555,16 +580,21 @@ def internalize_normal_form(d: Diagram) -> Diagram:
     zd = zone_decompose(d)
     b = _Builder(zd.diagram)
     for i in zd.internal_zones:
-        members = set(zd.zones[i].boxes)
-        target = None
-        for (pa, pb) in sorted(b.wires):
-            if pa[0] in members or pb[0] in members:
-                target = (pa, pb)
-                break
-        assert target is not None, "internal zone must touch a wire"
-        pa, pb = target
-        b.wires.remove(target)
+        # the zone's least wire, in the order of the wire tuples
+        touching = []
+        for name in zd.zones[i].boxes:
+            for slot in slots(b.box_map[name]):
+                kind = b.index[name, slot]
+                if kind[0] == "wire":
+                    touching.append(kind[1])
+        if not touching:
+            raise RuntimeError("internal zone %d touches no wire" % i)
+        target = min(touching, key=b.wires.__getitem__)
+        pa, pb = b.wires[target]
+        b.remove_wire(target)
         dd = b.add_box("_nfd", GeneratorId("delta", SPEK))
         cap = b.add_box("_nfe", GeneratorId("epsilon", SPEK))
-        b.wires += [(pa, (dd, "in")), ((dd, "1"), pb), ((dd, "2"), (cap, "in"))]
+        b.add_wire(pa, (dd, "in"))
+        b.add_wire((dd, "1"), pb)
+        b.add_wire((dd, "2"), (cap, "in"))
     return b.finish()

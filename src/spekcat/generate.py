@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .diagrams import Diagram, slots
-from .generators import HALFSPEK, SPEK, GeneratorId, generator_set
+from .generators import HALFSPEK, SPEK, GeneratorId
 from .permutations import s4, z2
 
 
@@ -38,7 +38,6 @@ def random_diagram(seed, theory=SPEK, max_boxes=8, max_legs=5) -> Diagram:
 
     legs = []
     for port in sorted(leg_ports):
-        box_map = dict(boxes)
         direction = "in" if port[1].startswith("in") else "out"
         legs.append((port, direction))
     return Diagram(theory, tuple(boxes), tuple(wires), tuple(legs)).validate()

@@ -72,12 +72,16 @@ _DELTA_4 = {1: [(1, 1), (2, 2)], 2: [(1, 2), (2, 1)],
 _DELTA_2 = {0: [(0, 0), (1, 1)], 1: [(0, 1), (1, 0)]}
 
 
+# (number of input legs, number of output legs) by generator tag
+ARITIES = {"perm": (1, 1), "identity": (1, 1), "swap": (2, 2),
+           "delta": (1, 2), "delta_dagger": (2, 1),
+           "epsilon": (1, 0), "epsilon_dagger": (0, 1),
+           "bottom": (0, 1), "bottom_dagger": (1, 0)}
+
+
 def arity(gen: GeneratorId) -> Tuple[int, int]:
     """(number of input legs, number of output legs)."""
-    return {"perm": (1, 1), "identity": (1, 1), "swap": (2, 2),
-            "delta": (1, 2), "delta_dagger": (2, 1),
-            "epsilon": (1, 0), "epsilon_dagger": (0, 1),
-            "bottom": (0, 1), "bottom_dagger": (1, 0)}[gen.tag]
+    return ARITIES[gen.tag]
 
 
 def resolve(gen: GeneratorId) -> Relation:

@@ -6,22 +6,26 @@ from typing import List, Optional, Tuple
 
 
 def rref(rows, ncols) -> List[int]:
-    """Reduced row echelon form; zero rows are dropped."""
-    basis = []
+    """Reduced row echelon form, rows in decreasing order; zero rows are
+    dropped."""
+    pivots = {}                  # leading bit -> the one row leading there
     for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    # back-substitute so each pivot appears in exactly one row
-    for i, row in enumerate(basis):
-        pivot = 1 << (row.bit_length() - 1)
-        for j in range(len(basis)):
-            if j != i and basis[j] & pivot:
-                basis[j] ^= row
-    basis.sort(reverse=True)
-    return basis
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    # back-substitute, lowest pivot first, so each pivot appears in exactly
+    # one row
+    reduced = {}
+    for lead in sorted(pivots):
+        row = pivots[lead]
+        for p, lower in reduced.items():
+            if row >> p & 1:
+                row ^= lower
+        reduced[lead] = row
+    return sorted(reduced.values(), reverse=True)
 
 
 def rank(rows, ncols) -> int:

@@ -29,10 +29,14 @@ def max_arity() -> int:
     SPEK_MAX_CELLS gives the ceiling as a cell count (base**arity); the
     default guarantees objects up to arity 10 per side.
     """
-    cells = os.environ.get("SPEK_MAX_CELLS")
-    if cells is None:
+    text = os.environ.get("SPEK_MAX_CELLS")
+    if text is None:
         return 10
-    cells = int(cells)
+    try:
+        cells = int(text)
+    except ValueError:
+        raise ValueError("SPEK_MAX_CELLS must be an integer, got %r"
+                         % text) from None
     arity = 0
     while 4 ** (arity + 1) <= cells:
         arity += 1
@@ -95,22 +99,8 @@ IV = Space(4, 1)
 II = Space(2, 1)
 
 
-def iv(n: int) -> Space:
-    return Space(4, n) if n else I
-
-
-def ii(n: int) -> Space:
-    return Space(2, n) if n else I
-
-
 def _fmt(t: Digits) -> str:
     return "".join(str(d) for d in t) if t else "*"
-
-
-def _parse_tuple(text: str) -> Digits:
-    if text == "*":
-        return ()
-    return tuple(int(c) for c in text)
 
 
 @dataclass(frozen=True)
@@ -161,9 +151,6 @@ class Relation:
                 out.add((a, c))
         return Relation(self.dom, other.cod, frozenset(out))
 
-    def __rshift__(self, other):
-        return self.then(other)
-
     def tensor(self, other: "Relation") -> "Relation":
         dom = self.dom * other.dom
         cod = self.cod * other.cod
@@ -172,9 +159,6 @@ class Relation:
         out = frozenset((a1 + a2, b1 + b2)
                         for a1, b1 in self.pairs for a2, b2 in other.pairs)
         return Relation(dom, cod, out)
-
-    def __matmul__(self, other):
-        return self.tensor(other)
 
     def converse(self) -> "Relation":
         return Relation(self.cod, self.dom,
@@ -192,15 +176,6 @@ class Relation:
         space = Space(self.cod.base, len(idx)) if idx else I
         return Relation.state(space,
                               (tuple(b[i] for i in idx) for _, b in self.pairs))
-
-    def reorder_cod(self, order) -> "Relation":
-        """Permute codomain legs: new leg i reads old leg order[i] (1-based)."""
-        idx = [k - 1 for k in order]
-        if sorted(idx) != list(range(self.cod.arity)):
-            raise ValueError("order must be a permutation of the codomain legs")
-        return Relation(self.dom, self.cod,
-                        frozenset((a, tuple(b[i] for i in idx))
-                                  for a, b in self.pairs))
 
     def to_text(self) -> str:
         lines = ["REL %s -> %s" % (self.dom, self.cod)]
@@ -228,15 +203,25 @@ class Relation:
                 if arity else I
 
         dom, cod = space(head[1]), space(head[3])
+
+        def tuple_of(tok, sp, ln):
+            tok = tok.strip()
+            if tok == "*" and not sp.arity:
+                return ()
+            if len(tok) != sp.arity \
+                    or not set(tok) <= {str(d) for d in sp.digits()}:
+                raise ValueError("relation line %r does not fit %s -> %s"
+                                 % (ln, dom, cod))
+            return tuple(int(c) for c in tok)
+
         pairs = set()
         for ln in lines[1:]:
             if ln == "∅":
                 continue
-            if "~" in ln:
-                left, right = (part.strip() for part in ln.split("~"))
-                pairs.add((_parse_tuple(left), _parse_tuple(right)))
-            else:
-                pairs.add(((), _parse_tuple(ln)))
+            left, sep, right = ln.partition("~")
+            if not sep:
+                left, right = "*", ln
+            pairs.add((tuple_of(left, dom, ln), tuple_of(right, cod, ln)))
         return Relation(dom, cod, frozenset(pairs))
 
     def __str__(self):
@@ -260,22 +245,3 @@ def empty(dom: Space, cod: Space) -> Relation:
 
 def scalar(present: bool = True) -> Relation:
     return Relation(I, I, frozenset([((), ())]) if present else frozenset())
-
-
-# Free-function aliases over the Relation methods.
-
-def compose(first: Relation, second: Relation) -> Relation:
-    """first followed by second (diagrammatic order)."""
-    return first.then(second)
-
-
-def tensor(left: Relation, right: Relation) -> Relation:
-    return left.tensor(right)
-
-
-def converse(rel: Relation) -> Relation:
-    return rel.converse()
-
-
-def marginal(state: Relation, keep) -> Relation:
-    return state.marginal(keep)

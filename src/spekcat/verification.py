@@ -11,13 +11,13 @@ full state sets at small arity where the raw closure would be intractable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import relations as rel
 from .diagrams import bend_leg, evaluate, parse
-from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, arity,
-                         generator_set, resolve)
+from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, generator_set,
+                         resolve)
 from .relations import Relation, Space
 from .worked import ghz_diagram
 
@@ -379,7 +379,6 @@ def halfspek_parity_sweep(max_boxes=5):
                 failures.append(d.to_source())
         if len(d.boxes) >= max_boxes:
             continue
-        boxes = d.box_map
         for i in range(n):
             port, _ = d.legs[i]
             rest = [lg for k, lg in enumerate(d.legs) if k != i]

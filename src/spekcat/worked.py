@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from .diagrams import Diagram, parse
-from .generators import SPEK, GeneratorId
-from .permutations import perm_from_cycles
 
 
 def _tree(lines, prefix, n_ports, profile_cycles=None):

@@ -53,3 +53,12 @@ def fan(m):
         net.link(left, a[i + 1])
         net.link(right, b[i + 1])
     return net.text([a[0], b[0]])
+
+
+def chain(n):
+    """n zones in a Sigma-linked path, one leg on each."""
+    net = Net()
+    zones = [net.zone(1 + (i > 0) + (i < n - 1)) for i in range(n)]
+    for i in range(n - 1):
+        net.link(zones[i][-1], zones[i + 1][1])
+    return net.text([z[0] for z in zones])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,5 +184,26 @@ def test_verify_jsonl(capsys):
 def test_verify_reports_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli.vf, "ghz_delta_identity", lambda: False)
     code, out, _ = run(capsys, "verify", "--suite", "laws")
-    assert code == 1
+    assert code == 5
     assert "FAIL laws.ghz-delta" in out
+
+
+def test_bad_max_cells_is_reported(capsys, monkeypatch):
+    monkeypatch.setenv("SPEK_MAX_CELLS", "abc")
+    code, out, err = run(capsys, "eval", golden("eta.spekd"))
+    assert code == 6 and out == ""
+    assert err == "error: SPEK_MAX_CELLS must be an integer, got 'abc'\n"
+
+
+def test_closed_output_pipe_exits_quietly():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spekcat.cli", "--format", "jsonl", "eval",
+         golden("eta.spekd")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()          # the reader goes before anything is written
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

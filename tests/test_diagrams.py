@@ -1,15 +1,18 @@
+import hashlib
 import itertools
+import os
 import random
 
 import pytest
 
-from nets import chain_int
+from nets import chain, chain_int, fan
 from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import signatures as sg
 from spekcat import worked
 from spekcat.generate import random_diagram
 from spekcat.generators import GeneratorId, resolve
+from spekcat.permutations import s4
 from spekcat.relations import IV, CapacityError, Relation, Space
 
 ETA_SRC = "box e: eps+\nbox d: delta\nwire e.1 d.in\nout d.1 d.2\n"
@@ -247,6 +250,93 @@ def test_schedule_matches_rescanning_reference(monkeypatch):
             joins.clear()
             dg.evaluate(d, rng=schedule())
             assert joins == rescanning_schedule(d, rng=schedule())
+
+
+def rewrite_record(d):
+    """Every rewriting pass applied to d, as text: a pass's output diagram
+    by its source and leg tuple, an exception by its type and message."""
+    def text(nd):
+        return nd.to_source() + repr(nd.legs)
+
+    def zones(zd):
+        adjacency = [sorted(zd.adjacency(i)) for i in range(len(zd.zones))]
+        return repr((text(zd.diagram), zd.zones, zd.links, zd.leg_reorder,
+                     adjacency))
+
+    passes = [lambda k=k: text(dg.bend_leg(d, k)) for k in range(len(d.legs))]
+    passes += [lambda: text(dg.as_state(d)),
+               lambda: text(dg.sigma_normalize(d)),
+               lambda: zones(dg.zone_decompose(d)),
+               lambda: text(dg.internalize_normal_form(d))]
+    out = []
+    for run in passes:
+        try:
+            out.append(run())
+        except Exception as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+    return out
+
+
+def random_wiring(seed):
+    """A random Spek diagram over every generator tag, swap and id included,
+    with its legs in random order."""
+    rng = random.Random(seed)
+    tags = ("delta", "delta_dagger", "epsilon", "epsilon_dagger", "perm",
+            "swap", "identity")
+    perms = sorted(s4(), key=lambda p: p.name)
+    boxes = []
+    for k in range(rng.randint(1, 10)):
+        tag = rng.choice(tags)
+        perm = rng.choice(perms) if tag == "perm" else None
+        boxes.append(("b%d" % k, GeneratorId(tag, "spek", perm)))
+    ports = [(name, s) for name, gen in boxes for s in dg.slots(gen)]
+    rng.shuffle(ports)
+    n_legs = min(rng.randint(0, 5), len(ports))
+    if (len(ports) - n_legs) % 2:
+        n_legs += 1 if n_legs < len(ports) else -1
+    rest = ports[n_legs:]
+    return dg.Diagram("spek", tuple(boxes),
+                      tuple(zip(rest[::2], rest[1::2])),
+                      tuple((p, "in" if p[1].startswith("in") else "out")
+                            for p in ports[:n_legs])).validate()
+
+
+def rewrite_inputs():
+    for seed in range(500):
+        yield random_diagram(seed)
+        yield random_diagram(seed, max_boxes=12)
+        yield random_wiring(seed)
+    golden = os.path.join(os.path.dirname(__file__), "..", "golden")
+    for name in sorted(os.listdir(golden)):
+        if name.endswith(".spekd"):
+            with open(os.path.join(golden, name)) as fh:
+                yield dg.parse(fh.read())
+    for n in range(1, 41):
+        yield dg.parse(chain_int(n))
+    for m in range(1, 13):
+        yield dg.parse(fan(m))
+    for n in range(1, 16):
+        yield dg.parse(chain(n))
+
+
+def rewrite_digest():
+    h = hashlib.sha256()
+    for d in rewrite_inputs():
+        for line in rewrite_record(d):
+            h.update(line.encode() + b"\0")
+    return h.hexdigest()
+
+
+# sha256 of rewrite_record over rewrite_inputs, recorded from the rewriting
+# passes that located ports by scanning every wire and leg: bend_leg,
+# as_state, sigma_normalize, zone_decompose and internalize_normal_form
+# must give the same diagrams, box names and orders, wire orientations,
+# leg orders, zones and links.
+REWRITE_DIGEST = "1e72760b8776f0dea5748a78df110edcec19af6f97c0c26d1f3eb11f2027e453"
+
+
+def test_rewrites_match_pinned_digest():
+    assert rewrite_digest() == REWRITE_DIGEST
 
 
 def test_evaluate_long_chain_matches_closed_form():

@@ -104,6 +104,20 @@ def test_text_round_trip():
         assert Relation.from_text(r.to_text()) == r
 
 
+def test_from_text_rejects_wrong_arity():
+    with pytest.raises(ValueError, match="'12 ~ 3'"):
+        Relation.from_text("REL 4^1 -> 4^1\n1 ~ 2\n12 ~ 3\n")
+    with pytest.raises(ValueError, match="'13'"):
+        Relation.from_text("REL 1^0 -> 4^1\n13\n")
+
+
+def test_from_text_rejects_digits_outside_carrier():
+    with pytest.raises(ValueError, match="'7 ~ 9'"):
+        Relation.from_text("REL 4^1 -> 4^1\n7 ~ 9\n")
+    with pytest.raises(ValueError, match="'2'"):
+        Relation.from_text("REL 1^0 -> 2^1\n2\n")
+
+
 def test_empty_relation_prints_marker():
     assert "∅" in rel.empty(IV, IV).to_text()
 
