@@ -20,6 +20,15 @@ EXIT_THEORY = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 EXIT_ENV = 6
+EXIT_USAGE = 7
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a bad command line (2 is the capacity code)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
 def _read_diagram(path):
@@ -182,7 +191,7 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spekcat",
         description="evaluate and analyse toy-theory string diagrams")
     parser.add_argument("--format", choices=["text", "jsonl"], default="text")

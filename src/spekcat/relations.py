@@ -192,15 +192,19 @@ class Relation:
     @staticmethod
     def from_text(text: str) -> "Relation":
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "REL" or head[2] != "->":
-            raise ValueError("bad relation header: %r" % lines[0])
+        header = lines[0] if lines else ""
+        head = header.split()
+        bad = ValueError("bad relation header: %r" % header)
+        if len(head) != 4 or head[0] != "REL" or head[2] != "->":
+            raise bad
 
         def space(tok):
-            base, arity = tok.split("^")
-            arity = int(arity)
-            return Space(4 if base == "4" else (2 if base == "2" else 1), arity) \
-                if arity else I
+            # only the forms str(Space) writes: 1^0, and 2^k or 4^k, k >= 1
+            base, _, arity = tok.partition("^")
+            if base not in ("1", "2", "4") or not arity.isdecimal() \
+                    or str(Space(int(base), int(arity))) != tok:
+                raise bad
+            return Space(int(base), int(arity))
 
         dom, cod = space(head[1]), space(head[3])
 

@@ -1,11 +1,13 @@
 """Closure enumeration and consistency checks for the toy theories.
 
-Two enumeration engines live here.  ``enumerate_closure`` is a word-level
-breadth-first closure of the generators under composition, tensor and
-converse, bounded by arity and round count; it is exact at arity 1.
-``enumerate_states`` is a fixpoint engine over states only, which applies
-single-leg and two-leg moves until no new state appears; it enumerates the
-full state sets at small arity where the raw closure would be intractable.
+Both enumerations run semi-naively, forming new results only from what
+the previous step added, on one small kernel for relations packed as
+integers (one bit per pair of tuples; exact compose, tensor and converse).
+``enumerate_closure`` is a breadth-first closure of the generators under
+the three operations, bounded by arity and round count, with a witness word
+for every relation; it is exact at arity 1.  ``enumerate_states`` closes
+the generating states under leg-level moves with a worklist; it gives the
+full state sets at small arity, where the raw closure would be intractable.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Dict, List, Optional, Tuple
 from . import relations as rel
 from .diagrams import bend_leg, evaluate, parse
 from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, generator_set,
-                         resolve)
-from .relations import Relation, Space
+                         parse_generator_name, resolve)
+from .relations import CapacityError, Relation, Space, max_arity
 from .worked import ghz_diagram
 
 
@@ -35,7 +37,6 @@ def _word_text(word) -> str:
 def eval_word(word, theory) -> Relation:
     """Re-evaluate a closure witness word to the relation it denotes."""
     if isinstance(word, str):
-        from .generators import parse_generator_name
         return resolve(parse_generator_name(word, theory))
     op = word[0]
     if op == "conv":
@@ -57,63 +58,136 @@ class ClosureReport:
         return sorted(self.hom.get((m, n), {}),
                       key=lambda r: r.to_text())
 
-    def states(self, n, include_empty=False):
-        out = [r for r in self.relations(0, n) if r.pairs or include_empty]
-        return out
+    def states(self, n):
+        return [r for r in self.relations(0, n) if r.pairs]
 
     def witness(self, r: Relation):
         return self.hom[(r.dom.arity, r.cod.arity)][r]
 
 
-def _hom_key(r: Relation):
-    return (r.dom.arity, r.cod.arity)
+# ---------------------------------------------------------------------------
+# Packed relations.  Over a fixed base b, a relation m -> n is the triple
+# (m, n, bits), with bit x * b**n + y set when the pair (x, y) is in the
+# relation; x and y index tuples in Space.tuples() order.
+
+
+def _ones(bits):
+    """Positions of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _pack(r: Relation):
+    xs, ys = ({t: i for i, t in enumerate(s.tuples())} for s in (r.dom, r.cod))
+    bits = 0
+    for a, b in r.pairs:
+        bits |= 1 << xs[a] * len(ys) + ys[b]
+    return (r.dom.arity, r.cod.arity, bits)
+
+
+def _unpack(base, p) -> Relation:
+    dom, cod = Space(base, p[0]), Space(base, p[1])
+    xs, ys = list(dom.tuples()), list(cod.tuples())
+    return Relation(dom, cod, frozenset(
+        (xs[i // len(ys)], ys[i % len(ys)]) for i in _ones(p[2])))
+
+
+def _compose(base, r, s):
+    """r ; s for r: m -> k and s: k -> n."""
+    (m, k, a), (_, n, b) = r, s
+    inner, width = base ** k, base ** n
+    mask = (1 << width) - 1
+    out = 0
+    while a:
+        low = a & -a
+        x, y = divmod(low.bit_length() - 1, inner)
+        out |= (b >> y * width & mask) << x * width
+        a ^= low
+    return (m, n, out)
+
+
+def _tensor(base, r, s):
+    (m1, n1, a), (m2, n2, b) = r, s
+    if max(m1 + m2, n1 + n2) > max_arity():
+        raise CapacityError("tensor result exceeds arity ceiling")
+    w1, w2, rows2 = base ** n1, base ** n2, base ** m2
+    out = 0
+    for i in _ones(a):
+        x1, y1 = divmod(i, w1)
+        for x2 in range(rows2):
+            row = b >> x2 * w2 & (1 << w2) - 1
+            out |= row << ((x1 * rows2 + x2) * w1 + y1) * w2
+    return (m1 + m2, n1 + n2, out)
+
+
+def _converse(base, r):
+    m, n, a = r
+    out = 0
+    for i in _ones(a):
+        x, y = divmod(i, base ** n)
+        out |= 1 << y * base ** m + x
+    return (n, m, out)
 
 
 def enumerate_closure(theory=SPEK, arity_bound=1, step_bound=6) -> ClosureReport:
     """Breadth-first closure of the generators under the three operations.
 
     Deterministic: each round scans the pool in canonical (arity, text)
-    order.  The report is marked complete when a round adds nothing new.
+    order.  Semi-naive: a round forms only the converses of, and the pairs
+    involving, relations that the previous round added, since every other
+    product was formed in an earlier round.  The report is marked complete
+    when a round adds nothing new.
     """
     if arity_bound < 1:
         raise ValueError("arity_bound must be at least 1")
-    pool: Dict[Relation, object] = {}
-    seeds = list(generator_set(theory))
     base = 2 if theory == HALFSPEK else 4
-    seeds_named = [(g.name, resolve(g)) for g in seeds]
-    seeds_named.append(("id", rel.identity(Space(base, 1))))
-    for name, r in seeds_named:
-        pool.setdefault(r, name)
+    pool: Dict[tuple, object] = {}    # packed relation -> witness word
+    found = {}                        # packed relation -> (scan key, relation)
 
-    def within(r):
-        return r.dom.arity <= arity_bound and r.cod.arity <= arity_bound
+    def enter(words):
+        for p, word in words.items():
+            r = _unpack(base, p)
+            pool[p], found[p] = word, ((p[:2], r.to_text()), r)
 
+    new = {}
+    for g in generator_set(theory):
+        new.setdefault(_pack(resolve(g)), g.name)
+    new.setdefault(_pack(rel.identity(Space(base, 1))), "id")
+    enter(new)
     complete = False
     rounds = 0
     for rounds in range(1, step_bound + 1):
-        ordered = sorted(pool, key=lambda r: (_hom_key(r), r.to_text()))
+        ordered = sorted(pool, key=lambda p: found[p][0])
+        recent = [p for p in ordered if p in new]
         fresh = {}
 
-        def add(r, word):
-            if within(r) and r not in pool and r not in fresh:
-                fresh[r] = word
+        def add(p, word):
+            if (p[0] <= arity_bound and p[1] <= arity_bound
+                    and p not in pool and p not in fresh):
+                fresh[p] = word
 
-        for r in ordered:
-            add(r.converse(), ("conv", pool[r]))
-        for a, b in itertools.product(ordered, repeat=2):
-            if a.cod == b.dom:
-                add(a.then(b), ("compose", pool[a], pool[b]))
-            if (a.dom.arity + b.dom.arity <= arity_bound
-                    and a.cod.arity + b.cod.arity <= arity_bound):
-                add(a.tensor(b), ("tensor", pool[a], pool[b]))
+        for p in recent:
+            add(_converse(base, p), ("conv", pool[p]))
+        for a in ordered:
+            for b in ordered if a in new else recent:
+                if a[1] == b[0]:
+                    add(_compose(base, a, b), ("compose", pool[a], pool[b]))
+                if (a[0] + b[0] <= arity_bound
+                        and a[1] + b[1] <= arity_bound):
+                    add(_tensor(base, a, b), ("tensor", pool[a], pool[b]))
         if not fresh:
             complete = True
             break
-        pool.update(fresh)
+        enter(fresh)
+        new = fresh
 
     hom: Dict[Tuple[int, int], Dict[Relation, object]] = {}
-    for r, word in pool.items():
-        hom.setdefault(_hom_key(r), {})[r] = word
+    for p, word in pool.items():
+        hom.setdefault(p[:2], {})[found[p][1]] = word
     return ClosureReport(theory, arity_bound, hom, complete, rounds)
 
 
@@ -121,102 +195,77 @@ def enumerate_closure(theory=SPEK, arity_bound=1, step_bound=6) -> ClosureReport
 # Complete state enumeration at small arity.
 
 
-def _apply_map(state, leg, mapping):
-    """Post-compose a one-system map (as a dict value -> set) onto one leg."""
-    out = set()
-    for row in state:
-        for y in mapping.get(row[leg], ()):
-            out.add(row[:leg] + (y,) + row[leg + 1:])
-    return frozenset(out)
-
-
-def _map_dict(r: Relation):
-    d = {}
-    for (x,), (y,) in r.pairs:
-        d.setdefault(x, set()).add(y)
-    return d
+def _generating_maps(base, maps):
+    """Some of the one-system maps whose composites give all of them; as
+    moves they reach the same states.  Trying invertible maps (f ;
+    converse(f) the identity) first keeps few."""
+    ident = _pack(rel.identity(Space(base, 1)))
+    kept, reached = [], set()
+    for f in sorted(maps, key=lambda f:
+                    _compose(base, f, _converse(base, f)) != ident):
+        if f in reached:
+            continue
+        kept.append(f)
+        reached, work = set(kept), list(kept)
+        while work:
+            p = work.pop()
+            for g in kept:
+                q = _compose(base, p, g)
+                if q not in reached:
+                    reached.add(q)
+                    work.append(q)
+    return kept
 
 
 def enumerate_states(theory=SPEK, max_legs=3):
     """All states of the theory with 1..max_legs legs, as tuple sets.
 
-    Runs leg-level moves (one-system maps, copying a leg, fusing or capping
-    legs, tensoring, reordering) to a fixpoint.  Returns a dict mapping the
+    Closes the generating states under leg-level moves (a one-system map
+    on a leg, copying or capping a leg, fusing or swapping two adjacent
+    legs), each a packed n -> m relation applied by composition, and under
+    tensoring: each state leaves the worklist once and is tensored, both
+    ways round, with every state found so far.  Returns a dict mapping the
     leg count to the sorted list of nonempty states.
     """
-    base_theory = SPEK if theory == MSPEK else theory
-    maps1 = [_map_dict(r) for r in
-             enumerate_closure(theory, 1, 8).relations(1, 1) if r.pairs]
-    delta = resolve(GeneratorId("delta", base_theory))
-    eps_keep = {x for (x,), _ in
-                resolve(GeneratorId("epsilon", base_theory)).pairs}
-    if theory == HALFSPEK:
-        seed_rows = [frozenset({(0,)})]
-    else:
-        seed_rows = [frozenset({(1,), (3,)})]
-        if theory == MSPEK:
-            seed_rows.append(frozenset({(1,), (2,), (3,), (4,)}))
-    copy = {}
-    for (x,), ab in delta.pairs:
-        copy.setdefault(x, set()).add(ab)
-    fuse = {}
-    for (a, b), (y,) in delta.converse().pairs:
-        fuse.setdefault((a, b), set()).add(y)
-
-    states = {n: set() for n in range(1, max_legs + 1)}
-    for s in seed_rows:
-        states[1].add(s)
-
-    changed = True
-    while changed:
-        changed = False
-
-        def add(n, s):
-            nonlocal changed
-            if s and s not in states[n]:
-                states[n].add(s)
-                changed = True
-
-        for n in range(1, max_legs + 1):
-            for s in list(states[n]):
-                for leg in range(n):
-                    for mp in maps1:
-                        add(n, _apply_map(s, leg, mp))
-                    if n < max_legs:     # copy one leg into two
-                        out = set()
-                        for row in s:
-                            for (a, b) in copy[row[leg]]:
-                                out.add(row[:leg] + (a, b) + row[leg + 1:])
-                        add(n + 1, frozenset(out))
-                    if n > 1:            # cap one leg with the counit
-                        out = {row[:leg] + row[leg + 1:]
-                               for row in s if row[leg] in eps_keep}
-                        add(n - 1, frozenset(out))
-                if n > 1:                # fuse two adjacent legs
-                    for leg in range(n - 1):
-                        out = set()
-                        for row in s:
-                            for y in fuse.get((row[leg], row[leg + 1]), ()):
-                                out.add(row[:leg] + (y,) + row[leg + 2:])
-                        add(n - 1, frozenset(out))
-                for perm in itertools.permutations(range(n)):
-                    add(n, frozenset(tuple(row[i] for i in perm)
-                                     for row in s))
-            for a in range(1, max_legs):
-                for b in range(1, max_legs - a + 1):
-                    for s in list(states[a]):
-                        for t in list(states[b]):
-                            add(a + b, frozenset(x + y for x in s for y in t))
-
     base = 2 if theory == HALFSPEK else 4
-    out = {}
-    for n in range(1, max_legs + 1):
-        cod = Space(base, n)
-        out[n] = sorted(
-            (Relation(rel.I, cod, frozenset(((), row) for row in s))
-             for s in states[n]),
-            key=lambda r: r.to_text())
-    return out
+    maps = enumerate_closure(theory, 1, 8).relations(1, 1)
+    delta, eps = (
+        _pack(resolve(GeneratorId(tag, SPEK if theory == MSPEK else theory)))
+        for tag in ("delta", "epsilon"))
+    swap = rel.swap(Space(base, 1), Space(base, 1))
+    boxes = _generating_maps(base, [_pack(r) for r in maps if r.pairs]) + [
+        _pack(swap), delta, eps, _converse(base, delta)]
+    ids = [_pack(rel.identity(Space(base, k))) for k in range(max_legs + 1)]
+    moves = {n: [] for n in range(1, max_legs + 1)}
+    for n, box, i in itertools.product(moves, boxes, range(max_legs)):
+        k, j = box[:2]                  # box: k -> j on legs i+1..i+k of n
+        if i + k <= n and 0 < n - k + j <= max_legs:
+            moves[n].append(_tensor(base, _tensor(base, ids[i], box),
+                                    ids[n - i - k]))
+
+    found = {n: [] for n in range(1, max_legs + 1)}
+    seen, work = set(), []
+
+    def add(s):
+        if s[2] and s not in seen:
+            seen.add(s)
+            found[s[1]].append(s)
+            work.append(s)
+
+    add(_converse(base, eps))
+    if theory == MSPEK:
+        add(_pack(resolve(GeneratorId("bottom", theory))))
+    while work:
+        s = work.pop()
+        for move in moves[s[1]]:
+            add(_compose(base, s, move))
+        for k in range(1, max_legs - s[1] + 1):
+            for t in found[k]:
+                add(_tensor(base, s, t))
+                add(_tensor(base, t, s))
+    return {n: sorted((_unpack(base, s) for s in states),
+                      key=lambda r: r.to_text())
+            for n, states in found.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +336,8 @@ def bend_state_to_map(state: Relation, split: int) -> Relation:
     """Curry a state on m+n legs into a map with m inputs, via the cups."""
     m = state.cod.arity - split
     base = state.cod.base
-    dom = Space(base, m) if m else rel.I
-    cod = Space(base, split) if split else rel.I
     pairs = frozenset((row[:m], row[m:]) for _, row in state.pairs)
-    return Relation(dom, cod, pairs)
+    return Relation(Space(base, m), Space(base, split), pairs)
 
 
 @dataclass(frozen=True)

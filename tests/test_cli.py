@@ -195,6 +195,18 @@ def test_bad_max_cells_is_reported(capsys, monkeypatch):
     assert err == "error: SPEK_MAX_CELLS must be an integer, got 'abc'\n"
 
 
+def test_usage_errors_have_their_own_code(capsys):
+    for argv in ([], ["nosuch"], ["enumerate", "--arity", "x"],
+                 ["verify", "--suite", "nosuch"], ["--format", "xml", "eval"]):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE == 7, argv
+        assert out == "" and "error:" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage:" in out
+    code, out, _ = run(capsys, "enumerate", "--help")
+    assert code == 0 and "--arity" in out
+
+
 def test_closed_output_pipe_exits_quietly():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

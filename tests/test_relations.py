@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -116,6 +118,20 @@ def test_from_text_rejects_digits_outside_carrier():
         Relation.from_text("REL 4^1 -> 4^1\n7 ~ 9\n")
     with pytest.raises(ValueError, match="'2'"):
         Relation.from_text("REL 1^0 -> 2^1\n2\n")
+
+
+@pytest.mark.parametrize("text, header", [
+    ("", ""),
+    ("REL 4^1\n1\n", "REL 4^1"),
+    ("REL 4^x -> 4^1\n1 ~ 1\n", "REL 4^x -> 4^1"),
+    ("REL 4^1 -> 4^1 extra\n1 ~ 1\n", "REL 4^1 -> 4^1 extra"),
+    ("REL 3^1 -> 4^1\n1 ~ 1\n", "REL 3^1 -> 4^1"),
+], ids=["empty", "no-codomain", "arity-not-a-number", "extra-token",
+        "base-3"])
+def test_from_text_rejects_bad_header(text, header):
+    with pytest.raises(ValueError,
+                       match=re.escape("bad relation header: %r" % header)):
+        Relation.from_text(text)
 
 
 def test_empty_relation_prints_marker():

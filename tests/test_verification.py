@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spekcat import relations as rel
 from spekcat import signatures as sg
 from spekcat import verification as vf
-from spekcat.generators import GeneratorId, resolve
+from spekcat.generators import THEORIES, GeneratorId, resolve
 from spekcat.permutations import s4
-from spekcat.relations import I, IV, Relation, Space
+from spekcat.relations import I, IV, CapacityError, Relation, Space
 
 
 def as_state(rows, n):
@@ -154,3 +156,86 @@ def test_halfspek_states():
     singletons = {frozenset({(a, b)}) for a in (0, 1) for b in (0, 1)}
     classes = {frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)})}
     assert got2 == singletons | classes
+
+
+def enumeration_records():
+    for theory in THEORIES:
+        for steps in (6, 8):
+            rep = vf.enumerate_closure(theory, 1, steps)
+            yield "closure %s %d rounds=%d complete=%s" % (
+                theory, steps, rep.rounds, rep.complete)
+            for key in sorted(rep.hom):
+                for r in rep.relations(*key):
+                    yield r.to_text() + vf._word_text(rep.witness(r))
+        for legs in (1, 2, 3):
+            yield "states %s %d" % (theory, legs)
+            states = vf.enumerate_states(theory, legs)
+            for n in sorted(states):
+                for s in states[n]:
+                    yield s.to_text()
+
+
+# sha256 of enumeration_records, recorded from the engines that recomposed
+# every pair of the pool in each closure round and rescanned every state
+# in each round of the state fixpoint: the closures must give the same
+# relations, witness words, rounds and completeness, and the state
+# enumeration the same states in the same order.
+ENUMERATION_DIGEST = "f23cd2f42595c8c017dfaeb15259ced7657afa0909cd5bc90cca2f82dc2f12b7"
+
+
+def test_enumerations_match_pinned_digest():
+    h = hashlib.sha256()
+    for line in enumeration_records():
+        h.update(line.encode() + b"\0")
+    assert h.hexdigest() == ENUMERATION_DIGEST
+
+
+@st.composite
+def composable_relations(draw):
+    """A base and relations r: m -> k, s: k -> n, arities 0..2."""
+    base = draw(st.sampled_from([2, 4]))
+    m, k, n = (Space(base, draw(st.integers(0, 2))) for _ in range(3))
+
+    def relation(dom, cod):
+        pairs = [(a, b) for a in dom.tuples() for b in cod.tuples()]
+        return Relation(dom, cod, draw(st.frozensets(st.sampled_from(pairs),
+                                                     max_size=24)))
+
+    return base, relation(m, k), relation(k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable_relations())
+def test_packed_kernel_matches_relation_algebra(case):
+    base, r, s = case
+    pr, ps = vf._pack(r), vf._pack(s)
+    assert vf._unpack(base, pr) == r
+    assert vf._unpack(base, vf._compose(base, pr, ps)) == r.then(s)
+    assert vf._unpack(base, vf._tensor(base, pr, ps)) == r.tensor(s)
+    assert vf._unpack(base, vf._tensor(base, ps, pr)) == s.tensor(r)
+    assert vf._unpack(base, vf._converse(base, pr)) == r.converse()
+
+
+def test_packed_tensor_refuses_where_relation_tensor_does(monkeypatch):
+    monkeypatch.setenv("SPEK_MAX_CELLS", "16")      # arity ceiling 2
+    for base in (2, 4):
+        for arities in itertools.product(range(3), repeat=4):
+            r, s = (rel.empty(Space(base, m), Space(base, n))
+                    for m, n in (arities[:2], arities[2:]))
+            outcomes = []
+            for tensor in (lambda: r.tensor(s), lambda: vf._tensor(
+                    base, vf._pack(r), vf._pack(s))):
+                try:
+                    tensor()
+                    outcomes.append("ok")
+                except CapacityError:
+                    outcomes.append("refused")
+            assert outcomes[0] == outcomes[1], (base, arities)
+
+
+def test_enumerations_respect_the_arity_ceiling(monkeypatch):
+    monkeypatch.setenv("SPEK_MAX_CELLS", "3")
+    with pytest.raises(CapacityError):
+        vf.enumerate_closure("spek", 1, 8)
+    with pytest.raises(CapacityError):
+        vf.enumerate_states("spek", 1)
