@@ -120,8 +120,7 @@ def cmd_enumerate(args):
                 else:
                     print("  {%s}" % ",".join(str(v) for v in row))
     if args.out:
-        report = vf.enumerate_closure(args.theory, min(args.arity, 2),
-                                      args.steps)
+        report = vf.enumerate_closure(args.theory)
         os.makedirs(args.out, exist_ok=True)
         for (m, n), hom in sorted(report.hom.items()):
             path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
@@ -129,8 +128,7 @@ def cmd_enumerate(args):
                 for r in sorted(hom, key=lambda r: r.to_text()):
                     fh.write("# %s\n" % vf._word_text(hom[r]))
                     fh.write(r.to_text())
-        print("closure report written to %s (complete=%s)"
-              % (args.out, report.complete))
+        print("closure report written to %s" % args.out)
     return 0
 
 
@@ -216,7 +214,6 @@ def main(argv=None):
     p = sub.add_parser("enumerate", help="enumerate states of a theory")
     p.add_argument("--theory", choices=[SPEK, MSPEK, HALFSPEK], default=SPEK)
     p.add_argument("--arity", type=int, default=1)
-    p.add_argument("--steps", type=int, default=6)
     p.add_argument("--out", metavar="DIR")
     p.set_defaults(func=cmd_enumerate)
 
@@ -228,6 +225,8 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
+    if getattr(args, "arity", 1) < 1:
+        parser.error("--arity must be at least 1")
     try:
         max_arity()
     except ValueError as exc:

@@ -3,11 +3,13 @@
 Both enumerations run semi-naively, forming new results only from what
 the previous step added, on one small kernel for relations packed as
 integers (one bit per pair of tuples; exact compose, tensor and converse).
-``enumerate_closure`` is a breadth-first closure of the generators under
-the three operations, bounded by arity and round count, with a witness word
-for every relation; it is exact at arity 1.  ``enumerate_states`` closes
-the generating states under leg-level moves with a worklist; it gives the
-full state sets at small arity, where the raw closure would be intractable.
+``enumerate_closure`` is the breadth-first closure of the generators
+under the three operations, keeping the results with at most one leg on
+each side and run until a round adds nothing, with a witness word for
+every relation.  ``enumerate_states`` closes the generating states under
+leg-level moves built from the generators with a worklist; it gives the
+full state sets at small arity, where the raw closure would be
+intractable.  Neither engine calls the other.
 """
 
 from __future__ import annotations
@@ -49,10 +51,7 @@ def eval_word(word, theory) -> Relation:
 @dataclass
 class ClosureReport:
     theory: str
-    arity_bound: int
     hom: Dict[Tuple[int, int], Dict[Relation, object]]
-    complete: bool
-    rounds: int
 
     def relations(self, m, n):
         return sorted(self.hom.get((m, n), {}),
@@ -133,17 +132,17 @@ def _converse(base, r):
     return (n, m, out)
 
 
-def enumerate_closure(theory=SPEK, arity_bound=1, step_bound=6) -> ClosureReport:
-    """Breadth-first closure of the generators under the three operations.
+def enumerate_closure(theory=SPEK) -> ClosureReport:
+    """Breadth-first closure of the generators under the three operations,
+    keeping the results with at most one input and one output leg.
 
     Deterministic: each round scans the pool in canonical (arity, text)
     order.  Semi-naive: a round forms only the converses of, and the pairs
     involving, relations that the previous round added, since every other
-    product was formed in an earlier round.  The report is marked complete
-    when a round adds nothing new.
+    product was formed in an earlier round.  It stops after the first round
+    that adds nothing, which comes because there are finitely many relations
+    with at most one leg on each side.
     """
-    if arity_bound < 1:
-        raise ValueError("arity_bound must be at least 1")
     base = 2 if theory == HALFSPEK else 4
     pool: Dict[tuple, object] = {}    # packed relation -> witness word
     found = {}                        # packed relation -> (scan key, relation)
@@ -158,16 +157,13 @@ def enumerate_closure(theory=SPEK, arity_bound=1, step_bound=6) -> ClosureReport
         new.setdefault(_pack(resolve(g)), g.name)
     new.setdefault(_pack(rel.identity(Space(base, 1))), "id")
     enter(new)
-    complete = False
-    rounds = 0
-    for rounds in range(1, step_bound + 1):
+    while new:
         ordered = sorted(pool, key=lambda p: found[p][0])
         recent = [p for p in ordered if p in new]
         fresh = {}
 
         def add(p, word):
-            if (p[0] <= arity_bound and p[1] <= arity_bound
-                    and p not in pool and p not in fresh):
+            if p[0] <= 1 and p[1] <= 1 and p not in pool and p not in fresh:
                 fresh[p] = word
 
         for p in recent:
@@ -176,37 +172,32 @@ def enumerate_closure(theory=SPEK, arity_bound=1, step_bound=6) -> ClosureReport
             for b in ordered if a in new else recent:
                 if a[1] == b[0]:
                     add(_compose(base, a, b), ("compose", pool[a], pool[b]))
-                if (a[0] + b[0] <= arity_bound
-                        and a[1] + b[1] <= arity_bound):
+                if a[0] + b[0] <= 1 and a[1] + b[1] <= 1:
                     add(_tensor(base, a, b), ("tensor", pool[a], pool[b]))
-        if not fresh:
-            complete = True
-            break
         enter(fresh)
         new = fresh
 
     hom: Dict[Tuple[int, int], Dict[Relation, object]] = {}
     for p, word in pool.items():
         hom.setdefault(p[:2], {})[found[p][1]] = word
-    return ClosureReport(theory, arity_bound, hom, complete, rounds)
+    return ClosureReport(theory, hom)
 
 
 # ---------------------------------------------------------------------------
 # Complete state enumeration at small arity.
 
 
-def _generating_maps(base, maps):
-    """Some of the one-system maps whose composites give all of them; as
-    moves they reach the same states.  Trying invertible maps (f ;
-    converse(f) the identity) first keeps few."""
+def _generating_maps(base, perms):
+    """Some of the permutations whose composites give all of them; as moves
+    they reach the same states.  The identity, which moves nothing, counts
+    as reached from the start."""
     ident = _pack(rel.identity(Space(base, 1)))
-    kept, reached = [], set()
-    for f in sorted(maps, key=lambda f:
-                    _compose(base, f, _converse(base, f)) != ident):
+    kept, reached = [], {ident}
+    for f in perms:
         if f in reached:
             continue
         kept.append(f)
-        reached, work = set(kept), list(kept)
+        reached, work = {ident, *kept}, list(kept)
         while work:
             p = work.pop()
             for g in kept:
@@ -220,21 +211,25 @@ def _generating_maps(base, maps):
 def enumerate_states(theory=SPEK, max_legs=3):
     """All states of the theory with 1..max_legs legs, as tuple sets.
 
-    Closes the generating states under leg-level moves (a one-system map
-    on a leg, copying or capping a leg, fusing or swapping two adjacent
-    legs), each a packed n -> m relation applied by composition, and under
-    tensoring: each state leaves the worklist once and is tensored, both
-    ways round, with every state found so far.  Returns a dict mapping the
-    leg count to the sorted list of nonempty states.
+    Closes the generating states (the generators and their converses with
+    no input leg) under leg-level moves and under tensoring.  A move is one
+    of the other generators or their converses on adjacent legs (a
+    permutation, copying, fusing, capping or discarding), or the swap of two
+    adjacent legs, packed as an n -> m relation and applied by composition.
+    Each state leaves the worklist once and is tensored, both ways round,
+    with every state found so far.  Returns a dict mapping the leg count to
+    the sorted list of nonempty states.
     """
+    if max_legs < 1:
+        raise ValueError("max_legs must be at least 1")
     base = 2 if theory == HALFSPEK else 4
-    maps = enumerate_closure(theory, 1, 8).relations(1, 1)
-    delta, eps = (
-        _pack(resolve(GeneratorId(tag, SPEK if theory == MSPEK else theory)))
-        for tag in ("delta", "epsilon"))
+    perms, others = [], []
+    for g in generator_set(theory):
+        (perms if g.tag == "perm" else others).append(_pack(resolve(g)))
+    others += [_converse(base, g) for g in others]
     swap = rel.swap(Space(base, 1), Space(base, 1))
-    boxes = _generating_maps(base, [_pack(r) for r in maps if r.pairs]) + [
-        _pack(swap), delta, eps, _converse(base, delta)]
+    boxes = _generating_maps(base, perms) + [_pack(swap)] + [
+        g for g in others if g[0]]
     ids = [_pack(rel.identity(Space(base, k))) for k in range(max_legs + 1)]
     moves = {n: [] for n in range(1, max_legs + 1)}
     for n, box, i in itertools.product(moves, boxes, range(max_legs)):
@@ -252,9 +247,9 @@ def enumerate_states(theory=SPEK, max_legs=3):
             found[s[1]].append(s)
             work.append(s)
 
-    add(_converse(base, eps))
-    if theory == MSPEK:
-        add(_pack(resolve(GeneratorId("bottom", theory))))
+    for g in others:
+        if not g[0]:
+            add(g)
     while work:
         s = work.pop()
         for move in moves[s[1]]:
@@ -351,8 +346,7 @@ class DualityReport:
 def check_map_state_duality(theory=SPEK) -> DualityReport:
     """Bending as a bijection between two-leg states and one-system maps."""
     states = enumerate_states(theory, 2)[2]
-    maps = [r for r in enumerate_closure(theory, 1, 8).relations(1, 1)
-            if r.pairs]
+    maps = [r for r in enumerate_closure(theory).relations(1, 1) if r.pairs]
     bent = {bend_state_to_map(s, 1) for s in states}
     base = 2 if theory == HALFSPEK else 4
     ident = rel.identity(Space(base, 1))

@@ -15,4 +15,4 @@ def mspek_states_3():
 
 @pytest.fixture(scope="session")
 def spek_closure_1():
-    return vf.enumerate_closure("spek", 1, 8)
+    return vf.enumerate_closure("spek")

@@ -146,6 +146,21 @@ def test_enumerate_writes_report(tmp_path, capsys):
     assert text.count("REL ") >= 6 and "#" in text
 
 
+def test_enumerate_writes_the_one_system_closure_at_any_arity(tmp_path,
+                                                             capsys):
+    trees = []
+    for arity in ("1", "2"):
+        out_dir = tmp_path / arity
+        code, _, _ = run(capsys, "enumerate", "--theory", "mspek",
+                         "--arity", arity, "--out", str(out_dir))
+        assert code == 0
+        trees.append({name: (out_dir / name).read_bytes()
+                      for name in os.listdir(out_dir)})
+    assert trees[0] == trees[1]
+    assert sorted(trees[0]) == ["hom_0_0.rel", "hom_0_1.rel", "hom_1_0.rel",
+                                "hom_1_1.rel", "hom_1_2.rel"]
+
+
 def test_enumerate_determinism(capsys):
     _, out1, _ = run(capsys, "enumerate", "--theory", "spek", "--arity", "2")
     _, out2, _ = run(capsys, "enumerate", "--theory", "spek", "--arity", "2")
@@ -197,6 +212,8 @@ def test_bad_max_cells_is_reported(capsys, monkeypatch):
 
 def test_usage_errors_have_their_own_code(capsys):
     for argv in ([], ["nosuch"], ["enumerate", "--arity", "x"],
+                 ["enumerate", "--arity", "0"],
+                 ["verify", "--suite", "kbp", "--arity", "0"],
                  ["verify", "--suite", "nosuch"], ["--format", "xml", "eval"]):
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_USAGE == 7, argv
