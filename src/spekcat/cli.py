@@ -125,9 +125,7 @@ def cmd_enumerate(args):
         for (m, n), hom in sorted(report.hom.items()):
             path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
             with open(path, "w") as fh:
-                for r in sorted(hom, key=lambda r: r.to_text()):
-                    fh.write("# %s\n" % vf._word_text(hom[r]))
-                    fh.write(r.to_text())
+                fh.writelines(r.to_text() for r in hom)
         print("closure report written to %s" % args.out)
     return 0
 
@@ -166,10 +164,12 @@ def _verify_lines(suites, arity):
         cm = vf.check_mspek_cardinalities(mspek_states, MSPEK)
         check("cardinality.mspek-range", cm.ok, str(cm.counts))
     if "duality" in suites:
-        rep = vf.check_map_state_duality(SPEK)
-        check("duality.bijective", rep.bijective,
-              "%d states, %d maps" % (rep.n_states, rep.n_maps))
-        check("duality.identity-diagonal", rep.identity_matches_diagonal)
+        for theory in (SPEK, MSPEK, HALFSPEK):
+            rep = vf.check_map_state_duality(theory)
+            check("duality.%s.bijective" % theory, rep.bijective,
+                  "%d states, %d maps" % (rep.n_states, rep.n_maps))
+            check("duality.%s.identity-diagonal" % theory,
+                  rep.identity_matches_diagonal)
     return lines
 
 

@@ -1,15 +1,12 @@
-"""Closure enumeration and consistency checks for the toy theories.
+"""State enumeration and consistency checks for the toy theories.
 
-Both enumerations run semi-naively, forming new results only from what
-the previous step added, on one small kernel for relations packed as
-integers (one bit per pair of tuples; exact compose, tensor and converse).
-``enumerate_closure`` is the breadth-first closure of the generators
-under the three operations, keeping the results with at most one leg on
-each side and run until a round adds nothing, with a witness word for
-every relation.  ``enumerate_states`` closes the generating states under
-leg-level moves built from the generators with a worklist; it gives the
-full state sets at small arity, where the raw closure would be
-intractable.  Neither engine calls the other.
+One engine, ``enumerate_states``, closes the generating states under
+leg-level moves built from the generators, with a worklist over relations
+packed as integers (one bit per pair of tuples; exact compose, tensor and
+converse).  ``enumerate_closure`` reads the relations with at most one leg
+on each side off its states with at most two legs, by map-state duality.
+The engine is not yet complete for MSpek at three legs: it finds 2413 of
+the 2467 states.
 """
 
 from __future__ import annotations
@@ -21,47 +18,20 @@ from typing import Dict, List, Optional, Tuple
 from . import relations as rel
 from .diagrams import bend_leg, evaluate, parse
 from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, generator_set,
-                         parse_generator_name, resolve)
+                         resolve)
 from .relations import CapacityError, Relation, Space, max_arity
-from .worked import ghz_diagram
-
-
-def _word_text(word) -> str:
-    if isinstance(word, str):
-        return word
-    op = word[0]
-    if op == "conv":
-        return "conv(%s)" % _word_text(word[1])
-    sep = " ; " if op == "compose" else " x "
-    return "(%s%s%s)" % (_word_text(word[1]), sep, _word_text(word[2]))
-
-
-def eval_word(word, theory) -> Relation:
-    """Re-evaluate a closure witness word to the relation it denotes."""
-    if isinstance(word, str):
-        return resolve(parse_generator_name(word, theory))
-    op = word[0]
-    if op == "conv":
-        return eval_word(word[1], theory).converse()
-    a = eval_word(word[1], theory)
-    b = eval_word(word[2], theory)
-    return a.then(b) if op == "compose" else a.tensor(b)
 
 
 @dataclass
 class ClosureReport:
     theory: str
-    hom: Dict[Tuple[int, int], Dict[Relation, object]]
+    hom: Dict[Tuple[int, int], List[Relation]]
 
     def relations(self, m, n):
-        return sorted(self.hom.get((m, n), {}),
-                      key=lambda r: r.to_text())
+        return self.hom.get((m, n), [])
 
     def states(self, n):
         return [r for r in self.relations(0, n) if r.pairs]
-
-    def witness(self, r: Relation):
-        return self.hom[(r.dom.arity, r.cod.arity)][r]
 
 
 # ---------------------------------------------------------------------------
@@ -132,59 +102,8 @@ def _converse(base, r):
     return (n, m, out)
 
 
-def enumerate_closure(theory=SPEK) -> ClosureReport:
-    """Breadth-first closure of the generators under the three operations,
-    keeping the results with at most one input and one output leg.
-
-    Deterministic: each round scans the pool in canonical (arity, text)
-    order.  Semi-naive: a round forms only the converses of, and the pairs
-    involving, relations that the previous round added, since every other
-    product was formed in an earlier round.  It stops after the first round
-    that adds nothing, which comes because there are finitely many relations
-    with at most one leg on each side.
-    """
-    base = 2 if theory == HALFSPEK else 4
-    pool: Dict[tuple, object] = {}    # packed relation -> witness word
-    found = {}                        # packed relation -> (scan key, relation)
-
-    def enter(words):
-        for p, word in words.items():
-            r = _unpack(base, p)
-            pool[p], found[p] = word, ((p[:2], r.to_text()), r)
-
-    new = {}
-    for g in generator_set(theory):
-        new.setdefault(_pack(resolve(g)), g.name)
-    new.setdefault(_pack(rel.identity(Space(base, 1))), "id")
-    enter(new)
-    while new:
-        ordered = sorted(pool, key=lambda p: found[p][0])
-        recent = [p for p in ordered if p in new]
-        fresh = {}
-
-        def add(p, word):
-            if p[0] <= 1 and p[1] <= 1 and p not in pool and p not in fresh:
-                fresh[p] = word
-
-        for p in recent:
-            add(_converse(base, p), ("conv", pool[p]))
-        for a in ordered:
-            for b in ordered if a in new else recent:
-                if a[1] == b[0]:
-                    add(_compose(base, a, b), ("compose", pool[a], pool[b]))
-                if a[0] + b[0] <= 1 and a[1] + b[1] <= 1:
-                    add(_tensor(base, a, b), ("tensor", pool[a], pool[b]))
-        enter(fresh)
-        new = fresh
-
-    hom: Dict[Tuple[int, int], Dict[Relation, object]] = {}
-    for p, word in pool.items():
-        hom.setdefault(p[:2], {})[found[p][1]] = word
-    return ClosureReport(theory, hom)
-
-
 # ---------------------------------------------------------------------------
-# Complete state enumeration at small arity.
+# State enumeration, and the one-leg hom sets read off its states.
 
 
 def _generating_maps(base, perms):
@@ -261,6 +180,25 @@ def enumerate_states(theory=SPEK, max_legs=3):
     return {n: sorted((_unpack(base, s) for s in states),
                       key=lambda r: r.to_text())
             for n, states in found.items()}
+
+
+def enumerate_closure(theory=SPEK) -> ClosureReport:
+    """The relations with at most one input and one output leg.
+
+    By map-state duality these are the two scalars, the states on one leg
+    and their converses as effects, and the states on two legs bent into
+    one-system maps; each hom set also holds its empty relation and is
+    sorted by text.
+    """
+    states = enumerate_states(theory, 2)
+    one = Space(2 if theory == HALFSPEK else 4, 1)
+    hom = {(0, 0): [rel.scalar(False), rel.scalar(True)],
+           (0, 1): [rel.empty(rel.I, one)] + states[1],
+           (1, 0): [rel.empty(one, rel.I)] + [s.converse() for s in states[1]],
+           (1, 1): [rel.empty(one, one)] + [bend_state_to_map(s, 1)
+                                            for s in states[2]]}
+    return ClosureReport(theory, {k: sorted(rs, key=lambda r: r.to_text())
+                                  for k, rs in hom.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +282,31 @@ class DualityReport:
 
 
 def check_map_state_duality(theory=SPEK) -> DualityReport:
-    """Bending as a bijection between two-leg states and one-system maps."""
+    """Bending two-leg states into one-system maps.
+
+    ``bijective`` holds when no two states bend to the same map and the
+    maps, with the empty one, hold the identity and every one-system
+    generator and are closed under composition and converse, as the hom
+    set of a category with a dagger must be.
+    """
     states = enumerate_states(theory, 2)[2]
-    maps = [r for r in enumerate_closure(theory).relations(1, 1) if r.pairs]
-    bent = {bend_state_to_map(s, 1) for s in states}
-    base = 2 if theory == HALFSPEK else 4
-    ident = rel.identity(Space(base, 1))
+    one = Space(2 if theory == HALFSPEK else 4, 1)
+    base = one.base
+    ident = rel.identity(one)
+    maps = {_pack(bend_state_to_map(s, 1)) for s in states}
+    homset = maps | {_pack(rel.empty(one, one))}
+    gens = [_pack(resolve(g)) for g in generator_set(theory)]
+    needed = {_pack(ident)} | {g for g in gens if g[:2] == (1, 1)}
+    closed = all(_converse(base, f) in homset for f in homset) and all(
+        _compose(base, f, g) in homset for f in homset for g in homset)
     diagonal = Relation(rel.I, Space(base, 2),
-                        frozenset(((), (t[0], t[0]))
-                                  for t in Space(base, 1).tuples()))
-    ident_state = next(s for s in states if bend_state_to_map(s, 1) == ident)
+                        frozenset(((), (t, t)) for (t,) in one.tuples()))
+    bent_to_ident = [s for s in states if bend_state_to_map(s, 1) == ident]
     return DualityReport(
         n_states=len(states),
         n_maps=len(maps),
-        bijective=(bent == set(maps) and len(bent) == len(states)),
-        identity_matches_diagonal=(ident_state == diagonal),
+        bijective=len(maps) == len(states) and needed <= homset and closed,
+        identity_matches_diagonal=bent_to_ident == [diagonal],
     )
 
 
@@ -450,10 +398,12 @@ def halfspek_parity_sweep(max_boxes=5):
 
 def ghz_delta_identity() -> bool:
     """Bending one leg of the tripartite state reproduces the copy map."""
-    d = ghz_diagram()
-    bent = bend_leg(d, 2)
-    target = resolve(GeneratorId("delta", SPEK))
-    got = evaluate(bent)
-    dagger_ok = (evaluate(bent).converse()
-                 == resolve(GeneratorId("delta_dagger", SPEK)))
-    return got == target and dagger_ok
+    ghz = parse("box u: eps+\n"
+                "box d1: delta\n"
+                "box d2: delta\n"
+                "wire u.1 d1.in\n"
+                "wire d1.1 d2.in\n"
+                "out d2.1 d2.2 d1.2\n")
+    bent = evaluate(bend_leg(ghz, 2))
+    return (bent == resolve(GeneratorId("delta", SPEK))
+            and bent.converse() == resolve(GeneratorId("delta_dagger", SPEK)))

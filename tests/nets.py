@@ -1,9 +1,34 @@
-"""Sigma-linked networks of phased zones, as `.spekd` text.
+"""Diagrams for the tests: the goldens, and Sigma-linked networks of
+phased zones as `.spekd` text.
 
-Tests use them to build diagram families of a given size: each zone is a
-unit (eps+) followed by a comb of copies, so it is one phased zone with as
-many open ports as asked for, and each link is one Sigma box.
+Tests use the networks to build diagram families of a given size: each
+zone is a unit (eps+) followed by a comb of copies, so it is one phased
+zone with as many open ports as asked for, and each link is one Sigma box.
 """
+
+import os
+
+from spekcat import diagrams as dg
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
+
+# A closed zone whose survival constraint is unsatisfiable: the unit state
+# {1,3} pushed through (12) then (34) meets the counit's {1,3} selection in
+# nothing, so the diagram denotes the empty scalar; its zone profile (0,0)
+# makes the type constraint read 0 = 1.
+EMPTY_SCALAR = ("box r: eps+\n"
+                "box p: perm((12))\n"
+                "box q: perm((34))\n"
+                "box c: eps\n"
+                "wire r.1 p.in\n"
+                "wire p.1 q.in\n"
+                "wire q.1 c.in\n")
+
+
+def golden_diagram(name):
+    """The diagram in ``golden/<name>.spekd``."""
+    with open(os.path.join(GOLDEN, name + ".spekd")) as fh:
+        return dg.parse(fh.read())
 
 
 class Net:

@@ -8,11 +8,11 @@ one pass/fail line per criterion.
 
 import os
 
+from nets import golden_diagram
 from spekcat import cli
 from spekcat import diagrams as dg
 from spekcat import signatures as sg
 from spekcat import verification as vf
-from spekcat import worked
 from spekcat.generators import MSPEK, SPEK, GeneratorId, resolve
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
@@ -38,7 +38,7 @@ def test_criterion_01_single_system_states(spek_states_3, mspek_states_3):
 
 
 def test_criterion_02_three_zone_state_form(capsys):
-    form, _ = sg.state_form(worked.triangle_diagram())
+    form, _ = sg.state_form(golden_diagram("triangle"))
     assert len(form.signatures) == 8
     assert all(count == 1 for _, count in form.signatures)
     state = form.expand()
@@ -55,7 +55,7 @@ def test_criterion_02_three_zone_state_form(capsys):
 
 
 def test_criterion_03_internalized_constraint(capsys):
-    d = worked.triangle_internalized_diagram()
+    d = golden_diagram("triangle_internalized")
     form, zd = sg.state_form(d)
     assert len(form.signatures) == 4
     assert len(form.expand().pairs) == 16
@@ -111,13 +111,13 @@ def test_criterion_08_map_state_duality():
 
 def test_criterion_09_ghz_copies():
     assert vf.ghz_delta_identity()
-    ghz = dg.evaluate(worked.ghz_diagram())
+    ghz = dg.evaluate(golden_diagram("ghz"))
     assert len(ghz.pairs) == 8
     assert vf.check_kbp(ghz).ok
 
 
 def test_criterion_10_accessible_cancelling_sets():
-    report = sg.duplication_analysis(worked.chain_diagram())
+    report = sg.duplication_analysis(golden_diagram("chain"))
     assert report.acs == ((4, 5, 6),)
     assert all(4 in s or 5 in s or 6 in s for s in report.acs)
     assert report.internal_zones == (3, 4, 5, 6)

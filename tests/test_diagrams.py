@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from nets import chain, chain_int, fan
+from nets import EMPTY_SCALAR, chain, chain_int, fan, golden_diagram
 from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import signatures as sg
-from spekcat import worked
 from spekcat.generate import random_diagram
 from spekcat.generators import GeneratorId, resolve
 from spekcat.permutations import s4
@@ -92,13 +91,13 @@ def test_bend_epsilon_gives_unit_state():
 
 
 def test_zone_counts_for_worked_examples():
-    zd = dg.zone_decompose(worked.triangle_diagram())
+    zd = dg.zone_decompose(golden_diagram("triangle"))
     assert len(zd.zones) == 3
     assert zd.external_zones == (0, 1, 2) and not zd.internal_zones
     assert sum(len(z.legs) for z in zd.zones) == 5
     assert len(zd.links) == 3
 
-    zd2 = dg.zone_decompose(worked.triangle_internalized_diagram())
+    zd2 = dg.zone_decompose(golden_diagram("triangle_internalized"))
     assert len(zd2.zones) == 3
     assert len(zd2.external_zones) == 2 and len(zd2.internal_zones) == 1
     assert sum(len(z.legs) for z in zd2.zones) == 4
@@ -128,15 +127,14 @@ def test_swap_boxes_dissolved():
 
 
 def test_internalize_normal_form_preserves_value():
-    for build in (worked.triangle_internalized_diagram,
-                  worked.empty_scalar_diagram):
-        d = build()
+    for d in (golden_diagram("triangle_internalized"),
+              dg.parse(EMPTY_SCALAR)):
         nf = dg.internalize_normal_form(d)
         assert dg.evaluate(nf) == dg.evaluate(d)
 
 
 def test_internalize_no_internal_zones_is_stable():
-    d = worked.triangle_diagram()
+    d = golden_diagram("triangle")
     assert dg.evaluate(dg.internalize_normal_form(d)) == dg.evaluate(d)
 
 

@@ -4,10 +4,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nets import fan
+from nets import EMPTY_SCALAR, fan, golden_diagram
 from spekcat import diagrams as dg
 from spekcat import signatures as sg
-from spekcat import worked
 from spekcat.generate import random_diagram
 from spekcat.relations import CapacityError
 
@@ -31,7 +30,7 @@ INTERNALIZED_SIGNATURES = [
 
 
 def test_triangle_profiles_and_blocks():
-    form, zd = sg.state_form(worked.triangle_diagram())
+    form, zd = sg.state_form(golden_diagram("triangle"))
     profiles = [sg.zone_profile(zd.diagram, z.boxes) for z in zd.zones]
     assert profiles == [(0, 0), (0, 1), (1, 0)]
     assert sorted(form.signatures) == sorted(TRIANGLE_SIGNATURES)
@@ -39,7 +38,7 @@ def test_triangle_profiles_and_blocks():
 
 
 def test_triangle_expansion_block_combinatorics():
-    form, _ = sg.state_form(worked.triangle_diagram())
+    form, _ = sg.state_form(golden_diagram("triangle"))
     r = form.expand()
     assert len(r.pairs) == 32
     assert len(form.signatures) == 8
@@ -51,7 +50,7 @@ def test_triangle_expansion_block_combinatorics():
 
 
 def test_internalized_signatures_and_constraint():
-    form, zd = sg.state_form(worked.triangle_internalized_diagram())
+    form, zd = sg.state_form(golden_diagram("triangle_internalized"))
     assert sorted(form.signatures) == sorted(INTERNALIZED_SIGNATURES)
     assert len(form.expand().pairs) == 16
     system = sg.constraint_system(zd)
@@ -59,7 +58,7 @@ def test_internalized_signatures_and_constraint():
 
 
 def test_triangle_form_text_layout():
-    form, _ = sg.state_form(worked.triangle_internalized_diagram())
+    form, _ = sg.state_form(golden_diagram("triangle_internalized"))
     assert form.to_text().splitlines() == [
         "(Odd,12; Even,12) x1",
         "(Odd,12; Even,34) x1",
@@ -69,33 +68,32 @@ def test_triangle_form_text_layout():
 
 
 def test_forms_match_brute_force_on_worked_examples():
-    for build in (worked.triangle_diagram,
-                  worked.triangle_internalized_diagram,
-                  worked.chain_diagram, worked.ghz_diagram,
-                  worked.eta_diagram):
-        d = build()
+    for name in ("triangle", "triangle_internalized", "chain", "ghz",
+                 "eta"):
+        d = golden_diagram(name)
         form, _ = sg.state_form(d)
         assert form.expand() == dg.evaluate(dg.as_state(d))
 
 
 def test_inconsistent_constraints_give_empty():
-    d = worked.empty_scalar_diagram()
+    d = dg.parse(EMPTY_SCALAR)
     form, zd = sg.state_form(d)
     assert not sg.constraint_system(zd).consistent
     assert form.is_empty and form.to_text() == "EMPTY\n"
     assert not form.expand().pairs
     assert not dg.evaluate(d).pairs
 
-    d2 = worked.empty_state_diagram()
+    d2 = golden_diagram("empty_state")
     form2, _ = sg.state_form(d2)
     assert form2.is_empty and not dg.evaluate(d2).pairs
 
 
 def test_phased_form_of_diagonal():
-    form, zd = sg.state_form(worked.eta_diagram())
+    eta = golden_diagram("eta")
+    form, zd = sg.state_form(eta)
     assert len(zd.zones) == 1 and not zd.links
     assert form.signatures == ((((1, 0),), 1), (((1, 1),), 1))
-    assert form.expand() == dg.evaluate(worked.eta_diagram())
+    assert form.expand() == dg.evaluate(eta)
 
 
 def test_phased_form_of_unit_state():
@@ -105,7 +103,7 @@ def test_phased_form_of_unit_state():
 
 def test_external_form_type_signatures_exhaustive():
     # no internal zones: every type assignment appears, once
-    form, zd = sg.state_form(worked.triangle_diagram())
+    form, zd = sg.state_form(golden_diagram("triangle"))
     assert not zd.internal_zones
     types = sorted(tuple(t for _, t in sig) for sig, _ in form.signatures)
     assert types == sorted(itertools.product((0, 1), repeat=3))
@@ -134,7 +132,7 @@ def test_parity_flip_when_linking_mixed_types():
 
 
 def test_chain_duplication_and_acs():
-    rep = sg.duplication_analysis(worked.chain_diagram())
+    rep = sg.duplication_analysis(golden_diagram("chain"))
     assert rep.n_zones == 7
     assert rep.internal_zones == (3, 4, 5, 6)
     assert rep.system.rank == 3 and len(rep.system.rows) == 4
@@ -145,7 +143,7 @@ def test_chain_duplication_and_acs():
 
 
 def test_duplication_trivial_when_constraints_independent():
-    rep = sg.duplication_analysis(worked.triangle_internalized_diagram())
+    rep = sg.duplication_analysis(golden_diagram("triangle_internalized"))
     assert rep.duplication_factor == 1
     assert rep.distinct_signatures == 4
 
@@ -156,7 +154,7 @@ def test_duplication_refuses_many_internal_zones():
 
 
 def test_duplication_invariants_raise(monkeypatch):
-    d = worked.chain_diagram()
+    d = golden_diagram("chain")
     form, zd = sg.state_form(d)
     (first, count), *rest = form.signatures
     uneven = ((first, 2 * count),) + tuple(rest)
@@ -221,7 +219,7 @@ def test_halfspek_parity_matches_evaluation():
 
 def test_halfspek_parity_rejects_spek():
     with pytest.raises(dg.DiagramError):
-        sg.halfspek_parity(worked.eta_diagram())
+        sg.halfspek_parity(golden_diagram("eta"))
 
 
 @settings(max_examples=150, deadline=None)
