@@ -33,10 +33,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_diagram(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    except UnicodeDecodeError as exc:
+        print("%s: not UTF-8 text: %s" % (path, exc), file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     try:
         return dg.parse(text)

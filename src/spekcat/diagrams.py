@@ -13,7 +13,9 @@ pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import count
+from operator import itemgetter
 from typing import Dict, Tuple
 
 from . import relations as rel
@@ -188,46 +190,75 @@ class _Factor:
     __slots__ = ("vars", "rows")
 
     def __init__(self, vars, rows):
-        self.vars = list(vars)
-        self.rows = set(rows)
-        self._collapse_repeats()
+        self.vars = vars
+        self.rows = rows
 
-    def _collapse_repeats(self):
-        while True:
-            dup = None
+    def collapse_repeats(self):
+        """Merge the positions of a variable held twice (a box wired to
+        itself), keeping the rows that agree on them."""
+        while len(set(self.vars)) < len(self.vars):
+            seen = {}
             for i, v in enumerate(self.vars):
-                j = self.vars.index(v)
+                j = seen.setdefault(v, i)
                 if j != i:
-                    dup = (j, i)
                     break
-            if dup is None:
-                return
-            j, i = dup
             self.rows = {r[:i] + r[i + 1:] for r in self.rows if r[i] == r[j]}
             del self.vars[i]
 
     def drop(self, vars_to_drop):
         keep = [i for i, v in enumerate(self.vars) if v not in vars_to_drop]
         self.vars = [self.vars[i] for i in keep]
-        self.rows = {tuple(r[i] for i in keep) for r in self.rows}
+        project = _projection(keep)
+        self.rows = {project(r) for r in self.rows}
+
+
+def _projection(idx):
+    """A function from a row to the tuple of its entries at ``idx``."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        i, = idx
+        return lambda r: (r[i],)
+    return lambda r: ()
+
+
+@cache
+def _box_rows(gen: GeneratorId) -> frozenset:
+    """A box's rows: each pair of its relation as one tuple, inputs first."""
+    return frozenset(a + b for a, b in resolve(gen).pairs)
 
 
 def _join(f1: _Factor, f2: _Factor) -> _Factor:
-    shared = [v for v in f1.vars if v in f2.vars]
-    if len(f1.vars) + len(f2.vars) - len(shared) > 2 * max_arity():
-        raise CapacityError("contraction intermediate exceeds arity ceiling")
-    i1 = [f1.vars.index(v) for v in shared]
-    i2 = [f2.vars.index(v) for v in shared]
-    rest2 = [i for i in range(len(f2.vars)) if f2.vars[i] not in shared]
+    """The join of two factors with their shared variables summed out.
+
+    A variable is held by at most two factors, so a variable the two share
+    dies with their join.  The result holds f1's remaining variables, then
+    f2's, each in their order.
+    """
+    pos2 = {v: j for j, v in enumerate(f2.vars)}
+    keep1, key1, key2 = [], [], []
+    for i, v in enumerate(f1.vars):
+        j = pos2.pop(v, None)
+        if j is None:
+            keep1.append(i)
+        else:
+            key1.append(i)
+            key2.append(j)
+    vars = [f1.vars[i] for i in keep1] + list(pos2)
+    if not key1:                       # nothing shared: a tensor product
+        return _Factor(vars, {r1 + r2 for r1 in f1.rows for r2 in f2.rows})
+    head, tail = _projection(keep1), _projection(list(pos2.values()))
+    get1, get2 = itemgetter(*key1), itemgetter(*key2)
     index = {}
     for r in f2.rows:
-        index.setdefault(tuple(r[i] for i in i2), []).append(
-            tuple(r[i] for i in rest2))
+        index.setdefault(get2(r), []).append(tail(r))
     rows = set()
     for r in f1.rows:
-        for tail in index.get(tuple(r[i] for i in i1), ()):
-            rows.add(r + tail)
-    return _Factor(f1.vars + [f2.vars[i] for i in rest2], rows)
+        tails = index.get(get1(r))
+        if tails:
+            h = head(r)
+            rows.update([h + t for t in tails])
+    return _Factor(vars, rows)
 
 
 def evaluate(d: Diagram, rng=None) -> Relation:
@@ -235,8 +266,11 @@ def evaluate(d: Diagram, rng=None) -> Relation:
 
     Greedy schedule: of the factor pairs sharing a variable, join the one
     with the narrowest result, ties to the earliest pair in factor order
-    (``rng`` picks among all candidates instead).
+    (``rng`` picks among all candidates instead).  A join whose operands
+    hold more than twice ``max_arity()`` distinct variables raises
+    ``CapacityError``; the ceiling is read once per call.
     """
+    ceiling = 2 * max_arity()
     # variables: ("w", i) for wire i, ("l", k) for leg k
     port_var = {port: (kind[0][0], kind[1]) for port, kind in d.ports.items()}
     protected = {("l", k) for k in range(len(d.legs))}
@@ -244,11 +278,18 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     # factors by id; ids grow, so id order is the factor order
     factors = {}
     for name, gen in d.boxes:
-        r = resolve(gen)
-        factors[len(factors)] = _Factor([port_var[name, s] for s in slots(gen)],
-                                        (a + b for a, b in r.pairs))
+        f = _Factor([port_var[name, s] for s in slots(gen)], _box_rows(gen))
+        f.collapse_repeats()
+        factors[len(factors)] = f
     if not factors:
         return rel.scalar(True)
+    ids = count(len(factors))
+
+    def join(f1, f2, shared):
+        if len(f1.vars) + len(f2.vars) - shared > ceiling:
+            raise CapacityError("contraction intermediate exceeds arity "
+                                "ceiling")
+        return _join(f1, f2)
 
     # A variable is a wire (two ports) or a leg (one port): at most two
     # factors hold it, and a variable two factors share dies with their join.
@@ -256,9 +297,9 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     for i, f in factors.items():
         for v in f.vars:
             holders.setdefault(v, set()).add(i)
-    for v, ids in list(holders.items()):
-        if len(ids) == 1 and v not in protected:
-            factors[min(ids)].drop({v})
+    for v, held in list(holders.items()):
+        if len(held) == 1 and v not in protected:
+            factors[min(held)].drop({v})
             del holders[v]
 
     widths = {}                  # (i, j), i < j, sharing a variable -> width
@@ -267,9 +308,9 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         vi, vj = factors[i].vars, factors[j].vars
         widths[i, j] = len(vi) + len(vj) - 2 * sum(v in vj for v in vi)
 
-    for ids in holders.values():
-        if len(ids) == 2:
-            score(*sorted(ids))
+    for held in holders.values():
+        if len(held) == 2:
+            score(*sorted(held))
 
     while widths:
         if rng is None:
@@ -277,37 +318,37 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         else:
             _, i, j = rng.choice(sorted((w, i, j)
                                         for (i, j), w in widths.items()))
-        new = max(factors) + 1
         fi, fj = factors.pop(i), factors.pop(j)
-        gone = {v for v in fi.vars if v in fj.vars}
-        f = _join(fi, fj)
-        f.drop(gone)
+        gone = [v for v in fi.vars if v in fj.vars]
+        f = join(fi, fj, len(gone))
+        new = next(ids)
         factors[new] = f
         for pair in [p for p in widths if i in p or j in p]:
             del widths[pair]
         for v in gone:
             del holders[v]
         for v in f.vars:
-            holders[v] -= {i, j}
-            holders[v].add(new)
+            held = holders[v]
+            held.discard(i)
+            held.discard(j)
+            held.add(new)
         for m in {m for v in f.vars for m in holders[v]} - {new}:
             score(m, new)
     final, *rest = factors.values()
     for f in rest:               # disconnected remainder: tensor it together
-        final = _join(final, f)
+        final = join(final, f, 0)
     if set(final.vars) != protected:
         raise RuntimeError("internal variables were not eliminated: %s"
                            % sorted(set(final.vars) - protected))
-    in_vars = [("l", k) for k, (_, dr) in enumerate(d.legs) if dr == "in"]
-    out_vars = [("l", k) for k, (_, dr) in enumerate(d.legs) if dr == "out"]
     pos = {v: i for i, v in enumerate(final.vars)}
+    in_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "in"]
+    out_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "out"]
     base = d.base_space.base
-    dom = Space(base, len(in_vars)) if in_vars else rel.I
-    cod = Space(base, len(out_vars)) if out_vars else rel.I
-    pairs = frozenset((tuple(r[pos[v]] for v in in_vars),
-                       tuple(r[pos[v]] for v in out_vars))
-                      for r in final.rows)
-    return Relation(dom, cod, pairs)
+    dom = Space(base, len(in_pos)) if in_pos else rel.I
+    cod = Space(base, len(out_pos)) if out_pos else rel.I
+    ins, outs = _projection(in_pos), _projection(out_pos)
+    return Relation(dom, cod, frozenset((ins(r), outs(r))
+                                        for r in final.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +459,23 @@ def bend_leg(d: Diagram, leg_index: int) -> Diagram:
 
 
 def as_state(d: Diagram) -> Diagram:
-    """Bend every input leg so the diagram denotes a state."""
+    """Bend every input leg so the diagram denotes a state.
+
+    The result is kept on ``d``, as ``validate`` keeps the port index:
+    every field is immutable, so a later call bends nothing.
+    """
+    state = d.__dict__.get("_state")
+    if state is not None:
+        return state
     ins = [k for k, (_, dr) in enumerate(d.legs) if dr == "in"]
     if not ins:
         return d
     b = _Builder(d)
     for k in ins:
         b.bend(k)
-    return b.finish()
+    state = b.finish()
+    object.__setattr__(d, "_state", state)
+    return state
 
 
 def sigma_normalize(d: Diagram) -> Diagram:

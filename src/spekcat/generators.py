@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import relations as rel
@@ -135,8 +136,12 @@ def generator_set(theory: str):
     return gens
 
 
+@lru_cache(maxsize=1024)
 def parse_generator_name(text: str, theory: str = SPEK) -> GeneratorId:
-    """Parse a DSL generator name: delta, delta+, eps, eps+, bot, bot+, id, swap, perm(...)."""
+    """Parse a DSL generator name: delta, delta+, eps, eps+, bot, bot+, id, swap, perm(...).
+
+    Results are kept in a bounded cache: diagrams use few distinct names.
+    """
     text = text.strip()
     if text.startswith("perm(") and text.endswith(")"):
         base = 2 if theory == HALFSPEK else 4

@@ -17,14 +17,19 @@ def rref(rows, ncols) -> List[int]:
                 break
             row ^= pivots[lead]
     # back-substitute, lowest pivot first, so each pivot appears in exactly
-    # one row
+    # one row.  A reduced row is zero at every other lower pivot, so
+    # clearing one pivot bit leaves the others as they were.
     reduced = {}
+    lower = 0                    # the bits of the pivots reduced so far
     for lead in sorted(pivots):
         row = pivots[lead]
-        for p, lower in reduced.items():
-            if row >> p & 1:
-                row ^= lower
+        hits = row & lower
+        while hits:
+            p = hits.bit_length() - 1
+            row ^= reduced[p]
+            hits ^= 1 << p
         reduced[lead] = row
+        lower |= 1 << lead
     return sorted(reduced.values(), reverse=True)
 
 

@@ -59,6 +59,15 @@ def test_eval_missing_file(capsys):
     assert exc.value.code == 1
 
 
+def test_eval_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "bad.spekd"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, "eval", str(path))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(path) in err
+
+
 def test_form_golden_outputs(capsys):
     for name in ("triangle", "triangle_internalized", "chain"):
         code, out, _ = run(capsys, "form", golden(name + ".spekd"))

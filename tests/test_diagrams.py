@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nets import EMPTY_SCALAR, chain, chain_int, fan, golden_diagram
 from spekcat import diagrams as dg
@@ -90,6 +91,17 @@ def test_bend_epsilon_gives_unit_state():
     assert r.pairs == frozenset({((), (1,)), ((), (3,))})
 
 
+def test_as_state_is_kept_on_the_diagram():
+    d = dg.parse("box d: delta\nin d.in\nout d.1 d.2\n")
+    h = hash(d)
+    state = dg.as_state(d)
+    assert dg.as_state(d) is state
+    assert state.n_inputs() == 0 and state.n_outputs() == 3
+    assert d == dg.parse(d.to_source()) and hash(d) == h
+    closed = dg.parse(ETA_SRC)
+    assert dg.as_state(closed) is closed
+
+
 def test_zone_counts_for_worked_examples():
     zd = dg.zone_decompose(golden_diagram("triangle"))
     assert len(zd.zones) == 3
@@ -150,6 +162,15 @@ def test_capacity_ceiling(monkeypatch):
     lines.append("out " + " ".join("u%d.1" % k for k in range(6)))
     with pytest.raises(CapacityError):
         dg.evaluate(dg.parse("\n".join(lines) + "\n"))
+
+
+def test_max_cells_is_read_on_every_evaluate(monkeypatch):
+    d = dg.parse(ETA_SRC)          # one join over three distinct variables
+    monkeypatch.setenv("SPEK_MAX_CELLS", "16")
+    assert dg.evaluate(d).cod.arity == 2
+    monkeypatch.setenv("SPEK_MAX_CELLS", "4")
+    with pytest.raises(CapacityError):
+        dg.evaluate(d)
 
 
 # Seeds in range(300) whose random_diagram state raises CapacityError at
@@ -248,6 +269,53 @@ def test_schedule_matches_rescanning_reference(monkeypatch):
             joins.clear()
             dg.evaluate(d, rng=schedule())
             assert joins == rescanning_schedule(d, rng=schedule())
+
+
+def join_then_drop(f1, f2):
+    """Reference: the full join of two factors on their shared variables,
+    then a pass that sums the shared variables out."""
+    shared = [v for v in f1.vars if v in f2.vars]
+    i1 = [f1.vars.index(v) for v in shared]
+    i2 = [f2.vars.index(v) for v in shared]
+    rest2 = [i for i, v in enumerate(f2.vars) if v not in shared]
+    index = {}
+    for r in f2.rows:
+        index.setdefault(tuple(r[i] for i in i2), []).append(
+            tuple(r[i] for i in rest2))
+    rows = {r + tail for r in f1.rows
+            for tail in index.get(tuple(r[i] for i in i1), ())}
+    joined = f1.vars + [f2.vars[i] for i in rest2]
+    keep = [i for i, v in enumerate(joined) if v not in shared]
+    return ([joined[i] for i in keep],
+            {tuple(r[i] for i in keep) for r in rows})
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two factors over base 2 or 4 that share none, some or all of their
+    variables, each in its own random order."""
+    digit = st.sampled_from((0, 1) if draw(st.sampled_from((2, 4))) == 2
+                            else (1, 2, 3, 4))
+    kind = draw(st.sampled_from(("none", "some", "all")))
+    n_shared = 0 if kind == "none" else draw(st.integers(1, 3))
+    n1, n2 = ((0, 0) if kind == "all" else
+              (draw(st.integers(0, 2)),
+               draw(st.integers(1 if kind == "some" else 0, 2))))
+    shared = [("w", k) for k in range(n_shared)]
+    factors = []
+    for own in ([("l", k) for k in range(n1)],
+                [("l", n1 + k) for k in range(n2)]):
+        vars = draw(st.permutations(shared + own))
+        rows = draw(st.sets(st.tuples(*[digit] * len(vars)), max_size=12))
+        factors.append(dg._Factor(list(vars), rows))
+    return factors
+
+
+@given(factor_pairs())
+def test_fused_join_matches_join_then_drop(pair):
+    f1, f2 = pair
+    out = dg._join(f1, f2)
+    assert (out.vars, out.rows) == join_then_drop(f1, f2)
 
 
 def rewrite_record(d):
