@@ -19,9 +19,9 @@ the map's rank on the kernel), each of multiplicity 2^(dim kernel - r).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
+from operator import getitem, methodcaller
 from typing import Tuple
 
 from . import gf2
@@ -30,18 +30,13 @@ from .diagrams import (Diagram, DiagramError, ZoneDecomposition, as_state,
                        zone_decompose)
 from .generators import HALFSPEK
 from .permutations import Z2_SWAP
-from .relations import CapacityError, Relation, Space
+from .relations import CapacityError, Relation, Space, max_arity
 
 PARITY_NAMES = {0: "Odd", 1: "Even"}
 TYPE_NAMES = {0: "12", 1: "34"}
-SINGLE_LEG_BLOCKS = {
-    (1, 0): (1,),        # Even,12 -> zero 2s
-    (0, 0): (2,),        # Odd,12  -> one 2
-    (1, 1): (3,),
-    (0, 1): (4,),
-}
 TYPE_VALUES = {0: (1, 2), 1: (3, 4)}
 PARITY_VALUE = {0: 2, 1: 4}      # the counted value per type
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def zone_profile(diagram: Diagram, boxes) -> Tuple[int, int]:
@@ -137,26 +132,60 @@ class StateForm:
     def expand(self) -> Relation:
         """The exact state (as a relation from the unit) the form describes.
 
-        Legs come out in the source diagram's order.
+        Legs come out in the source diagram's order.  A form with more legs
+        than ``evaluate``'s joins may hold, twice ``max_arity()``, raises
+        ``CapacityError``: its rows are exponential in the leg count.
+
+        Each zone gets a table from its four (parity, type) pairs to its
+        block rows, every row an int with one byte per leg at the leg's
+        source position; a row of the state is then one sum of table
+        entries, turned into bytes.
         """
         n = self.n_legs
+        ceiling = 2 * max_arity()
+        if n > ceiling:
+            raise CapacityError("expanding %d legs exceeds the ceiling of %d"
+                                % (n, ceiling))
         cod = Space(4, n) if n else rel.I
-        inverse = [0] * n
-        for pos, orig in enumerate(self.leg_order):
-            inverse[orig] = pos
-        zone_block = functools.cache(_zone_block)
-        pairs = set()
-        for sig, _ in self.signatures:
-            per_zone = [zone_block(pt, k)
-                        for pt, k in zip(sig, self.zone_legs)]
-            for combo in itertools.product(*per_zone):
-                flat = tuple(itertools.chain.from_iterable(combo))
-                pairs.add(((), tuple(map(flat.__getitem__, inverse))))
-        return Relation(rel.I, cod, frozenset(pairs))
+        tables = []
+        start = 0
+        for k in self.zone_legs:
+            tables.append(_zone_table([8 * (n - 1 - orig) for orig
+                                       in self.leg_order[start:start + k]]))
+            start += k
+        combos = itertools.chain.from_iterable(
+            itertools.product(*map(getitem, tables, sig))
+            for sig, _ in self.signatures)
+        rows = map(tuple, map(methodcaller("to_bytes", n, "big"),
+                              map(sum, combos)))
+        return Relation(rel.I, cod, frozenset(zip(itertools.repeat(()), rows)))
+
+
+def _zone_table(shifts):
+    """(parity, type) -> a zone's block rows, each an int holding the value
+    on the zone's i-th leg in the byte at bit offset ``shifts[i]``.
+
+    The rows are grown one leg at a time, kept apart by whether the counted
+    value has so far appeared an even or an odd number of times; the result
+    holds the rows of ``_zone_block``, packed.
+    """
+    table = {}
+    for typ, (plain, counted) in TYPE_VALUES.items():  # PARITY_VALUE second
+        even, odd = [0], []
+        for s in shifts:
+            lo, hi = plain << s, counted << s
+            even, odd = ([r + lo for r in even] + [r + hi for r in odd],
+                         [r + hi for r in even] + [r + lo for r in odd])
+        table[1, typ] = even
+        table[0, typ] = odd
+    return table
 
 
 def _zone_block(sig, n_legs):
-    """All value tuples on a zone's legs matching one (parity, type) pair."""
+    """All value tuples on a zone's legs matching one (parity, type) pair.
+
+    The unpacked definition of a ``_zone_table`` entry.
+    """
     parity, typ = sig
     values = TYPE_VALUES[typ]
     counted = PARITY_VALUE[typ]
@@ -226,8 +255,9 @@ def _form_of(zd: ZoneDecomposition) -> StateForm:
         for v in basis:
             image += [w ^ v for w in image]
         count = 1 << (len(kernel) - len(basis))
+        fmt = "0%db" % (2 * e)
         for w in sorted(image):
-            bits = [int(c) for c in format(w, "0%db" % (2 * e))]
+            bits = format(w, fmt).encode().translate(_BITS)
             signatures.append((tuple(zip(bits[e:], bits[:e])), count))
     return StateForm(
         zone_legs=tuple(len(zd.zones[i].legs) for i in external),

@@ -85,6 +85,22 @@ def test_half_restriction():
     assert p.half_restriction("34").is_identity
 
 
+def test_kept_properties_raise_and_keep_equality():
+    for _ in range(2):          # the second round reads the kept values
+        with pytest.raises(ValueError):
+            Z2_SWAP.is_phased
+        for p in s4():
+            if p.is_phased:
+                assert p.half_restriction("12") is p.half_restriction("12")
+                assert p.half_restriction("34").base == 2
+            else:
+                with pytest.raises(ValueError):
+                    p.half_restriction("12")
+            assert p == Permutation(p.base, p.images)
+            assert hash(p) == hash(Permutation(p.base, p.images))
+    assert perm_from_cycles("(12)").half_restriction("12") == Z2_SWAP
+
+
 def test_relation_matches_images():
     p = perm_from_cycles("(1234)")
     assert ((1,), (2,)) in p.relation().pairs

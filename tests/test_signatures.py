@@ -4,11 +4,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nets import EMPTY_SCALAR, fan, golden_diagram
+from nets import EMPTY_SCALAR, chain, fan, golden_diagram
 from spekcat import diagrams as dg
 from spekcat import signatures as sg
 from spekcat.generate import random_diagram
-from spekcat.relations import CapacityError
+from spekcat import relations as rel
+from spekcat.relations import CapacityError, Relation, Space
 
 TRIANGLE_SIGNATURES = [
     (((0, 0), (0, 0), (1, 0)), 1),
@@ -164,6 +165,84 @@ def test_duplication_invariants_raise(monkeypatch):
         monkeypatch.setattr(sg, "state_form", lambda _: (bad_form, zd))
         with pytest.raises(RuntimeError):
             sg.duplication_analysis(d)
+
+
+def copy_tree(n):
+    """One zone: the unit state copied out to n legs by n - 1 deltas."""
+    lines = ["box e: eps+", "wire e.1 d1.in"]
+    for i in range(1, n):
+        lines.append("box d%d: delta" % i)
+        if i > 1:
+            lines.append("wire d%d.2 d%d.in" % (i - 1, i))
+    outs = ["d%d.1" % i for i in range(1, n)] + ["d%d.2" % (n - 1)]
+    return dg.parse("\n".join(lines + ["out " + " ".join(outs)]) + "\n")
+
+
+def test_expand_refuses_exponential_output(monkeypatch):
+    # the ceiling is evaluate's, twice max_arity() legs; chain(21) has the
+    # same leg count, but its form alone lists 2^21 signatures
+    monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
+    form, _ = sg.state_form(copy_tree(21))
+    assert form.n_legs == 21 and len(form.signatures) == 2
+    with pytest.raises(CapacityError):
+        form.expand()
+    assert len(sg.state_form(dg.parse(chain(11)))[0].expand().pairs) == 2048
+    monkeypatch.setenv("SPEK_MAX_CELLS", "16")
+    assert len(sg.state_form(dg.parse(chain(4)))[0].expand().pairs) == 16
+    with pytest.raises(CapacityError):
+        sg.state_form(dg.parse(chain(5)))[0].expand()
+
+
+def reference_expand(form):
+    """The row-by-row expansion the byte-packed tables replace: each block
+    row is flattened zone by zone, then permuted into source leg order."""
+    n = form.n_legs
+    inverse = [0] * n
+    for pos, orig in enumerate(form.leg_order):
+        inverse[orig] = pos
+    pairs = set()
+    for sig, _ in form.signatures:
+        per_zone = [sg._zone_block(pt, k)
+                    for pt, k in zip(sig, form.zone_legs)]
+        for combo in itertools.product(*per_zone):
+            flat = tuple(itertools.chain.from_iterable(combo))
+            pairs.add(((), tuple(flat[i] for i in inverse)))
+    return Relation(rel.I, Space(4, n) if n else rel.I, frozenset(pairs))
+
+
+@st.composite
+def state_forms(draw):
+    """Any form: 0-4 zones of 0-3 legs, any leg order, and a signature list
+    that is either every signature but one, with duplicates (up to 6 legs),
+    or a short list, perhaps empty."""
+    zone_legs = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    n = sum(zone_legs)
+    leg_order = tuple(draw(st.permutations(range(n))))
+    pairs = list(itertools.product((0, 1), repeat=2))
+    every = list(itertools.product(pairs, repeat=len(zone_legs)))
+    some = st.lists(st.sampled_from(every), max_size=4)
+    if n <= 6 and draw(st.booleans()):
+        drop = draw(st.integers(0, len(every) - 1))
+        sigs = every[:drop] + every[drop + 1:] + draw(some)
+    else:
+        sigs = draw(some)
+    sigs = draw(st.permutations(sigs))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(sigs),
+                           max_size=len(sigs)))
+    return sg.StateForm(zone_legs, tuple(zip(sigs, counts)), leg_order)
+
+
+@settings(max_examples=400, deadline=None)
+@given(state_forms())
+def test_expand_matches_reference_expansion(form):
+    assert form.expand() == reference_expand(form)
+
+
+def test_expand_of_zero_leg_forms():
+    unit = sg.StateForm((), (((), 1),), ())
+    assert unit.expand() == reference_expand(unit)
+    assert unit.expand().pairs == frozenset({((), ())})
+    assert not sg.StateForm((), (), ()).expand().pairs
 
 
 def tally_per_solution(d):
