@@ -132,14 +132,10 @@ class StateForm:
     def expand(self) -> Relation:
         """The exact state (as a relation from the unit) the form describes.
 
-        Legs come out in the source diagram's order.  A form with more legs
-        than ``evaluate``'s joins may hold, twice ``max_arity()``, raises
-        ``CapacityError``: its rows are exponential in the leg count.
-
-        Each zone gets a table from its four (parity, type) pairs to its
-        block rows, every row an int with one byte per leg at the leg's
-        source position; a row of the state is then one sum of table
-        entries, turned into bytes.
+        Legs come out in the source diagram's order: each row is one sum of
+        ``_zone_table`` entries, one per zone, turned into bytes.  A form
+        with more legs than ``evaluate``'s joins may hold, twice
+        ``max_arity()``, raises ``CapacityError``.
         """
         n = self.n_legs
         ceiling = 2 * max_arity()
