@@ -127,7 +127,7 @@ def cmd_enumerate(args):
         os.makedirs(args.out, exist_ok=True)
         for (m, n), hom in sorted(report.hom.items()):
             path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(r.to_text() for r in hom)
         print("closure report written to %s" % args.out)
     return 0
@@ -242,6 +242,10 @@ def main(argv=None):
     except (CapacityError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAPACITY
+    except UnicodeEncodeError as exc:
+        print("error: the output cannot be written as %s: %s"
+              % (sys.stdout.encoding, exc), file=sys.stderr)
+        return EXIT_ENV
     except BrokenPipeError:
         # the reader has gone (e.g. `| head`): stop quietly, and send the
         # rest of the buffered output, flushed at exit, nowhere

@@ -5,9 +5,10 @@ ordered list of open legs.  Ports are written ``<box>.<slot>`` where input
 slots are named ``in``, ``in2``, ... and output slots ``1``, ``2``, ...
 Wires are direction-free: the induced compact structure of the theories is
 the plain diagonal, so a wire always means equality of the two port values.
-The port index, which says what each port is attached to, is built once per
-diagram by ``Diagram.validate`` and read by evaluation and every rewriting
-pass.
+The port index, which says what each port is attached to, is the cached
+property ``Diagram.ports``: built, and the diagram checked, on first access,
+then read by evaluation and every rewriting pass.  Evaluation reduces a wire
+from a box to itself when it builds that box's factor.
 """
 
 from __future__ import annotations
@@ -59,30 +60,11 @@ class Diagram:
         """Box id -> generator (shared: do not modify)."""
         return dict(self.boxes)
 
-    @property
+    @cached_property
     def ports(self) -> Dict[Port, tuple]:
         """The port index: what each port is attached to, ``("wire", i,
-        other)`` or ``("leg", k)`` (shared: do not modify)."""
-        return self.validate()._ports
-
-    @property
-    def base_space(self) -> Space:
-        return rel.II if self.theory == HALFSPEK else rel.IV
-
-    def n_inputs(self):
-        return sum(1 for _, d in self.legs if d == "in")
-
-    def n_outputs(self):
-        return sum(1 for _, d in self.legs if d == "out")
-
-    def validate(self):
-        """Check the diagram and build its port index.
-
-        Both happen once per object: every field is immutable, so a later
-        call returns at once.
-        """
-        if "_ports" in self.__dict__:
-            return self
+        other)`` or ``("leg", k)`` (shared: do not modify).  Built, and the
+        diagram checked, on first access."""
         index = {}
         box_map = self.box_map
         if len(box_map) != len(self.boxes):
@@ -115,7 +97,21 @@ class Diagram:
             for slot in slots(gen):
                 if (name, slot) not in index:
                     raise DiagramError("dangling port %s.%s" % (name, slot))
-        object.__setattr__(self, "_ports", index)
+        return index
+
+    @property
+    def base_space(self) -> Space:
+        return rel.II if self.theory == HALFSPEK else rel.IV
+
+    def n_inputs(self):
+        return sum(1 for _, d in self.legs if d == "in")
+
+    def n_outputs(self):
+        return sum(1 for _, d in self.legs if d == "out")
+
+    def validate(self):
+        """Check the diagram (by building its port index) and return it."""
+        self.ports
         return self
 
     def to_source(self) -> str:
@@ -193,24 +189,6 @@ class _Factor:
         self.vars = vars
         self.rows = rows
 
-    def collapse_repeats(self):
-        """Merge the positions of a variable held twice (a box wired to
-        itself), keeping the rows that agree on them."""
-        while len(set(self.vars)) < len(self.vars):
-            seen = {}
-            for i, v in enumerate(self.vars):
-                j = seen.setdefault(v, i)
-                if j != i:
-                    break
-            self.rows = {r[:i] + r[i + 1:] for r in self.rows if r[i] == r[j]}
-            del self.vars[i]
-
-    def drop(self, vars_to_drop):
-        keep = [i for i, v in enumerate(self.vars) if v not in vars_to_drop]
-        self.vars = [self.vars[i] for i in keep]
-        project = _projection(keep)
-        self.rows = {project(r) for r in self.rows}
-
 
 def _projection(idx):
     """A function from a row to the tuple of its entries at ``idx``."""
@@ -278,9 +256,19 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     # factors by id; ids grow, so id order is the factor order
     factors = {}
     for name, gen in d.boxes:
-        f = _Factor([port_var[name, s] for s in slots(gen)], _box_rows(gen))
-        f.collapse_repeats()
-        factors[len(factors)] = f
+        vars = [port_var[name, s] for s in slots(gen)]
+        rows = _box_rows(gen)
+        if len(set(vars)) < len(vars):
+            # wires from the box to itself: keep the rows that agree at both
+            # ends of each, then sum them out, since no other factor holds them
+            loops = [(vars.index(v), i) for i, v in enumerate(vars)
+                     if vars.index(v) < i]
+            keep = [i for i, v in enumerate(vars) if vars.count(v) == 1]
+            project = _projection(keep)
+            rows = {project(r) for r in rows
+                    if all(r[i] == r[j] for i, j in loops)}
+            vars = [vars[i] for i in keep]
+        factors[len(factors)] = _Factor(vars, rows)
     if not factors:
         return rel.scalar(True)
     ids = count(len(factors))
@@ -292,15 +280,12 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         return _join(f1, f2)
 
     # A variable is a wire (two ports) or a leg (one port): at most two
-    # factors hold it, and a variable two factors share dies with their join.
+    # factors hold it, and one two factors share dies with their join (its
+    # holders entry is never read again).
     holders = {}                 # variable -> ids of the factors holding it
     for i, f in factors.items():
         for v in f.vars:
             holders.setdefault(v, set()).add(i)
-    for v, held in list(holders.items()):
-        if len(held) == 1 and v not in protected:
-            factors[min(held)].drop({v})
-            del holders[v]
 
     widths = {}                  # (i, j), i < j, sharing a variable -> width
 
@@ -325,8 +310,6 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         factors[new] = f
         for pair in [p for p in widths if i in p or j in p]:
             del widths[pair]
-        for v in gone:
-            del holders[v]
         for v in f.vars:
             held = holders[v]
             held.discard(i)
@@ -461,7 +444,7 @@ def bend_leg(d: Diagram, leg_index: int) -> Diagram:
 def as_state(d: Diagram) -> Diagram:
     """Bend every input leg so the diagram denotes a state.
 
-    The result is kept on ``d``, as ``validate`` keeps the port index:
+    The result is kept on ``d``, as the port index is:
     every field is immutable, so a later call bends nothing.
     """
     state = d.__dict__.get("_state")

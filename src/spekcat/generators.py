@@ -49,13 +49,9 @@ class GeneratorId:
 
     @property
     def name(self) -> str:
-        names = {"delta": "delta", "delta_dagger": "delta+",
-                 "epsilon": "eps", "epsilon_dagger": "eps+",
-                 "bottom": "bot", "bottom_dagger": "bot+",
-                 "identity": "id", "swap": "swap"}
         if self.tag == "perm":
             return "perm(%s)" % self.perm.name
-        return names[self.tag]
+        return _NAMES[self.tag]
 
     def dagger(self) -> "GeneratorId":
         flips = {"delta": "delta_dagger", "delta_dagger": "delta",
@@ -72,6 +68,13 @@ _DELTA_4 = {1: [(1, 1), (2, 2)], 2: [(1, 2), (2, 1)],
             3: [(3, 3), (4, 4)], 4: [(3, 4), (4, 3)]}
 _DELTA_2 = {0: [(0, 0), (1, 1)], 1: [(0, 1), (1, 0)]}
 
+
+# DSL name by generator tag, and back; perm names carry their cycles
+_NAMES = {"delta": "delta", "delta_dagger": "delta+",
+          "epsilon": "eps", "epsilon_dagger": "eps+",
+          "bottom": "bot", "bottom_dagger": "bot+",
+          "identity": "id", "swap": "swap"}
+_TAGS = {name: tag for tag, name in _NAMES.items()}
 
 # (number of input legs, number of output legs) by generator tag
 ARITIES = {"perm": (1, 1), "identity": (1, 1), "swap": (2, 2),
@@ -146,10 +149,6 @@ def parse_generator_name(text: str, theory: str = SPEK) -> GeneratorId:
     if text.startswith("perm(") and text.endswith(")"):
         base = 2 if theory == HALFSPEK else 4
         return GeneratorId("perm", theory, perm_from_cycles(text[5:-1], base))
-    table = {"delta": "delta", "delta+": "delta_dagger",
-             "eps": "epsilon", "eps+": "epsilon_dagger",
-             "bot": "bottom", "bot+": "bottom_dagger",
-             "id": "identity", "swap": "swap"}
-    if text not in table:
+    if text not in _TAGS:
         raise ValueError("unknown generator name %r" % text)
-    return GeneratorId(table[text], theory)
+    return GeneratorId(_TAGS[text], theory)

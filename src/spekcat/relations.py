@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 Digits = Tuple[int, ...]
 
@@ -64,10 +64,6 @@ class Space:
         if self.base == 1:
             object.__setattr__(self, "arity", 0)
 
-    @property
-    def size(self) -> int:
-        return self.base ** self.arity
-
     def digits(self) -> range:
         # 1-based digits for the 4-element carrier, 0-based for the 2-element one
         if self.base == 4:
@@ -111,32 +107,9 @@ class Relation:
     cod: Space
     pairs: frozenset
 
-    @staticmethod
-    def make(dom: Space, cod: Space, pairs: Iterable) -> "Relation":
-        pairs = frozenset((tuple(a), tuple(b)) for a, b in pairs)
-        for a, b in pairs:
-            if len(a) != dom.arity or len(b) != cod.arity:
-                raise ValueError("pair (%r, %r) does not fit %s -> %s"
-                                 % (a, b, dom, cod))
-        return Relation(dom, cod, pairs)
-
-    @staticmethod
-    def state(space: Space, tuples: Iterable) -> "Relation":
-        return Relation.make(I, space, (((), tuple(t)) for t in tuples))
-
     @property
     def is_state(self) -> bool:
         return self.dom.arity == 0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.pairs
-
-    def tuples(self) -> frozenset:
-        """The subset view of a state (or effect, via its codomain side)."""
-        if not self.is_state:
-            raise ValueError("tuples() is only defined for states")
-        return frozenset(b for _, b in self.pairs)
 
     def then(self, other: "Relation") -> "Relation":
         if self.cod != other.dom:
@@ -174,8 +147,8 @@ class Relation:
                 raise IndexError("leg %d out of range for %s" % (k, self.cod))
         idx = [k - 1 for k in keep]
         space = Space(self.cod.base, len(idx)) if idx else I
-        return Relation.state(space,
-                              (tuple(b[i] for i in idx) for _, b in self.pairs))
+        return Relation(I, space, frozenset(((), tuple(b[i] for i in idx))
+                                            for _, b in self.pairs))
 
     def to_text(self) -> str:
         lines = ["REL %s -> %s" % (self.dom, self.cod)]

@@ -82,11 +82,11 @@ class ConstraintSystem:
 
     @property
     def rank(self):
-        return gf2.rank(list(self.rows), self.n_vars)
+        return len(gf2.rref(self.rows))
 
     @property
     def consistent(self):
-        return gf2.is_consistent(list(self.rows), list(self.rhs), self.n_vars)
+        return gf2.solve(self.rows, self.rhs, self.n_vars) is not None
 
     def to_text(self) -> str:
         lines = []
@@ -246,7 +246,11 @@ def _form_of(zd: ZoneDecomposition) -> StateForm:
 
         # the image is pack(particular) plus the span of the kernel's images
         # under the map's linear part
-        basis = gf2.rref([pack(k) ^ pack(0) for k in kernel], 2 * e)
+        basis = gf2.rref([pack(k) ^ pack(0) for k in kernel])
+        ceiling = 2 * max_arity()
+        if len(basis) > ceiling:
+            raise CapacityError("a form of 2^%d signatures exceeds the "
+                                "ceiling of 2^%d" % (len(basis), ceiling))
         image = [pack(particular)]
         for v in basis:
             image += [w ^ v for w in image]
@@ -266,7 +270,8 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
     """Closed-form block description of the state a Spek diagram denotes.
 
     Input legs are first bent to outputs, so the form always describes the
-    diagram's state under map-state duality.
+    diagram's state under map-state duality.  Of its 2^rank signatures none
+    is listed when the rank exceeds twice ``max_arity()`` (``CapacityError``).
     """
     d = as_state(d)
     zd = zone_decompose(d)
@@ -303,7 +308,7 @@ def duplication_analysis(d: Diagram) -> DuplicationReport:
         raise CapacityError("cancelling-set search over %d internal zones "
                             "(limit %d)" % (len(internal), MAX_ACS_ZONES))
 
-    form, _ = state_form(d)
+    form = _form_of(zd)
     counts = {count for _, count in form.signatures}
     if len(counts) > 1:
         raise RuntimeError("signature multiplicities are not uniform: %s"

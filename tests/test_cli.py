@@ -246,10 +246,15 @@ def test_usage_errors_have_their_own_code(capsys):
     assert code == 0 and "--arity" in out
 
 
-def test_closed_output_pipe_exits_quietly():
+def cli_env(**extra):
+    """The environment for running the command line program from src/."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)), **extra)
+
+
+def test_closed_output_pipe_exits_quietly():
+    env = cli_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "spekcat.cli", "--format", "jsonl", "eval",
          golden("eta.spekd")],
@@ -258,3 +263,29 @@ def test_closed_output_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_report_files_are_utf8_whatever_the_locale(tmp_path):
+    # hom_0_0.rel holds the empty scalar, written as the REL text's ∅
+    env = cli_env(LC_ALL="C", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    out_dir = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spekcat.cli", "enumerate", "--out",
+         str(out_dir)], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    text = (out_dir / "hom_0_0.rel").read_bytes().decode("utf-8")
+    assert text == "REL 1^0 -> 1^0\n*\nREL 1^0 -> 1^0\n∅\n"
+
+
+def test_unencodable_output_is_an_environment_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "spekcat.cli", "eval",
+         golden("empty_state.spekd")],
+        capture_output=True, env=cli_env(PYTHONIOENCODING="ascii"),
+        timeout=60)
+    assert proc.returncode == cli.EXIT_ENV
+    assert proc.stdout == b""
+    lines = proc.stderr.decode("ascii").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -156,6 +156,21 @@ def test_delta_self_loop_normal_form():
     assert dg.evaluate(dg.internalize_normal_form(d)) == dg.evaluate(d)
 
 
+def test_box_wired_to_itself_once():
+    # delta+ with its inputs joined: (1,1) and (2,2) give 1, (3,3) and
+    # (4,4) give 3
+    d = dg.parse("box m: delta+\nwire m.in m.in2\nout m.1\n")
+    assert dg.evaluate(d) == Relation(rel.I, IV, frozenset({((), (1,)),
+                                                           ((), (3,))}))
+
+
+def test_box_wired_to_itself_twice():
+    # a closed swap: in = 1 and in2 = 2 hold exactly where both inputs are
+    # equal, which some row does, so the scalar is true
+    d = dg.parse("box s: swap\nwire s.in s.1\nwire s.in2 s.2\n")
+    assert dg.evaluate(d) == rel.scalar(True)
+
+
 def test_capacity_ceiling(monkeypatch):
     monkeypatch.setenv("SPEK_MAX_CELLS", "2")
     lines = ["box u%d: eps+" % k for k in range(6)]
@@ -412,11 +427,18 @@ def test_evaluate_long_chain_matches_closed_form():
 
 
 def test_evaluate_raises_when_internal_vars_remain(monkeypatch):
-    # one box whose inputs are wired together: the loop variable is summed
-    # out by a drop before any join
-    d = dg.parse("box m: delta+\nwire m.in m.in2\nout m.1\n")
-    assert dg.evaluate(d).cod.arity == 1
-    monkeypatch.setattr(dg._Factor, "drop", lambda self, gone: None)
+    # the one join of ETA_SRC is on the wire e.1-d.in; a join that keeps
+    # its shared variables leaves that wire in the final factor
+    def keeping_join(f1, f2):
+        shared = [v for v in f1.vars if v in f2.vars]
+        rows = {r1 + r2 for r1 in f1.rows for r2 in f2.rows
+                if all(r1[f1.vars.index(v)] == r2[f2.vars.index(v)]
+                       for v in shared)}
+        return dg._Factor(f1.vars + f2.vars, rows)
+
+    d = dg.parse(ETA_SRC)
+    assert dg.evaluate(d).cod.arity == 2
+    monkeypatch.setattr(dg, "_join", keeping_join)
     with pytest.raises(RuntimeError):
         dg.evaluate(d)
 

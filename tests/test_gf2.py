@@ -40,12 +40,64 @@ def test_rref_matches_reference_on_random_matrices():
     for _ in range(500):
         ncols = rng.randint(1, 40)
         rows = random_rows(rng, rng.randint(0, 64), ncols)
-        assert gf2.rref(rows, ncols) == sorting_rref(rows, ncols)
+        assert gf2.rref(rows) == sorting_rref(rows, ncols)
 
 
 def test_rref_is_reduced():
-    reduced = gf2.rref([0b1101, 0b0110, 0b0011, 0b0000, 0b1101], 4)
+    reduced = gf2.rref([0b1101, 0b0110, 0b0011, 0b0000, 0b1101])
     leads = [r.bit_length() - 1 for r in reduced]
     assert leads == sorted(leads, reverse=True) and len(leads) == 3
     for lead in leads:
         assert sum(r >> lead & 1 for r in reduced) == 1
+
+
+def two_elimination_solve(rows, rhs, ncols):
+    """Reference: the solve that eliminated the augmented rows for its
+    particular solution, then the rows of A again for its kernel basis."""
+    reduced = gf2.rref([(r << 1) | (1 if b else 0) for r, b in zip(rows, rhs)])
+    if reduced and reduced[-1] == 1:
+        return None
+    particular = 0
+    for row in reduced:
+        if row & 1:
+            particular |= 1 << (row.bit_length() - 2)
+    reduced = gf2.rref(rows)
+    pivots = {r.bit_length() - 1 for r in reduced}
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = 1 << f
+            for row in reduced:
+                if row & (1 << f):
+                    vec |= 1 << (row.bit_length() - 1)
+            kernel.append(vec)
+    return particular, kernel
+
+
+def parity(x):
+    return bin(x).count("1") & 1
+
+
+def test_solve_matches_two_eliminations_on_random_systems():
+    rng = random.Random(1)
+    outcomes = set()
+    for _ in range(2000):
+        ncols = rng.randint(0, 24)
+        rows = random_rows(rng, rng.randint(0, 32), ncols)
+        if rng.random() < 0.5:       # consistent: the image of some x
+            x = rng.getrandbits(ncols) if ncols else 0
+            rhs = [parity(r & x) for r in rows]
+        else:                        # any right-hand side
+            rhs = [rng.getrandbits(1) for _ in rows]
+        got = gf2.solve(rows, rhs, ncols)
+        assert got == two_elimination_solve(rows, rhs, ncols)
+        outcomes.add((got is None, ncols == 0, not rows))
+        if got is not None:
+            particular, kernel = got
+            assert [parity(r & particular) for r in rows] == rhs
+            assert all(parity(r & k) == 0 for r in rows for k in kernel)
+            assert len(kernel) == ncols - len(gf2.rref(rows))
+    # consistent and inconsistent systems, with and without columns or rows
+    assert {(False, True, True), (False, True, False), (True, True, False),
+            (False, False, True), (False, False, False),
+            (True, False, False)} <= outcomes

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,7 +163,7 @@ def test_duplication_invariants_raise(monkeypatch):
     doubled = tuple((sig, 2 * n) for sig, n in form.signatures)
     for bad in (uneven, doubled):
         bad_form = dataclasses.replace(form, signatures=bad)
-        monkeypatch.setattr(sg, "state_form", lambda _: (bad_form, zd))
+        monkeypatch.setattr(sg, "_form_of", lambda _: bad_form)
         with pytest.raises(RuntimeError):
             sg.duplication_analysis(d)
 
@@ -191,6 +192,26 @@ def test_expand_refuses_exponential_output(monkeypatch):
     assert len(sg.state_form(dg.parse(chain(4)))[0].expand().pairs) == 16
     with pytest.raises(CapacityError):
         sg.state_form(dg.parse(chain(5)))[0].expand()
+
+
+def test_state_form_refuses_exponential_output(monkeypatch):
+    # 2^rank signatures, refused above twice max_arity(), expand's leg
+    # ceiling: chain(n) has rank n
+    monkeypatch.setenv("SPEK_MAX_CELLS", "16")          # arity ceiling 2
+    assert len(sg.state_form(dg.parse(chain(4)))[0].signatures) == 16
+    with pytest.raises(CapacityError):
+        sg.state_form(dg.parse(chain(5)))
+    with pytest.raises(CapacityError):
+        sg.duplication_analysis(dg.parse(chain(5)))
+
+
+def test_state_form_refuses_chain_21_quickly(monkeypatch):
+    monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
+    d = dg.parse(chain(21))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        sg.state_form(d)
+    assert time.perf_counter() - start < 1.0
 
 
 def reference_expand(form):
