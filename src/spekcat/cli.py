@@ -48,6 +48,15 @@ def _read_diagram(path):
         raise SystemExit(EXIT_PARSE)
 
 
+def _read_spek_diagram(path):
+    d = _read_diagram(path)
+    if d.theory != SPEK:
+        print("error: closed forms are defined for spek diagrams only",
+              file=sys.stderr)
+        raise SystemExit(EXIT_THEORY)
+    return d
+
+
 def cmd_eval(args):
     r = dg.evaluate(_read_diagram(args.path))
     if args.format == "jsonl":
@@ -59,12 +68,7 @@ def cmd_eval(args):
 
 
 def cmd_form(args):
-    d = _read_diagram(args.path)
-    if d.theory != SPEK:
-        print("error: closed forms are defined for spek diagrams only",
-              file=sys.stderr)
-        return EXIT_THEORY
-    form, zd = sg.state_form(d)
+    form, zd = sg.state_form(_read_spek_diagram(args.path))
     system = sg.constraint_system(zd)
     if args.format == "jsonl":
         for sig, count in form.signatures:
@@ -94,12 +98,13 @@ def _compare_one(d, label):
 
 
 def cmd_compare(args):
+    files = [(_read_spek_diagram(path), path) for path in args.paths]
     ok = True
     for k in range(args.random):
-        d = random_diagram(args.seed + k, theory=args.theory)
+        d = random_diagram(args.seed + k)
         ok = _compare_one(d, "seed=%d" % (args.seed + k)) and ok
-    for path in args.paths:
-        ok = _compare_one(_read_diagram(path), path) and ok
+    for d, path in files:
+        ok = _compare_one(d, path) and ok
     if ok:
         print("OK")
     return 0 if ok else EXIT_MISMATCH
@@ -109,6 +114,8 @@ def cmd_enumerate(args):
     if args.arity > 3:
         print("warning: arity %d enumeration may take a long time"
               % args.arity, file=sys.stderr)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     states = vf.enumerate_states(args.theory, args.arity)
     for n in sorted(states):
         if args.format == "jsonl":
@@ -124,7 +131,6 @@ def cmd_enumerate(args):
                     print("  {%s}" % ",".join(str(v) for v in row))
     if args.out:
         report = vf.enumerate_closure(args.theory)
-        os.makedirs(args.out, exist_ok=True)
         for (m, n), hom in sorted(report.hom.items()):
             path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
             with open(path, "w", encoding="utf-8") as fh:
@@ -211,7 +217,6 @@ def main(argv=None):
     p.add_argument("paths", nargs="*")
     p.add_argument("--random", type=int, default=0, metavar="COUNT")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theory", choices=[SPEK], default=SPEK)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("enumerate", help="enumerate states of a theory")
@@ -251,6 +256,9 @@ def main(argv=None):
         # rest of the buffered output, flushed at exit, nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:              # e.g. enumerate --out onto a file
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ENV
 
 
 if __name__ == "__main__":

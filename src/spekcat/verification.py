@@ -1,12 +1,13 @@
 """State enumeration and consistency checks for the toy theories.
 
 One engine, ``enumerate_states``, closes the generating states under
-leg-level moves built from the generators, with a worklist over relations
-packed as integers (one bit per pair of tuples; exact compose, tensor and
-converse).  ``enumerate_closure`` reads the relations with at most one leg
-on each side off its states with at most two legs, by map-state duality.
-The engine is not yet complete for MSpek at three legs: it finds 2413 of
-the 2467 states.
+moves built from the generators.  A state is the set of its ``((), row)``
+pairs, the set ``Relation.pairs`` holds.  A move rewrites the first legs of
+every row through a table of a generator's pairs, and swaps of adjacent
+legs bring any legs to the front.  ``enumerate_closure`` reads the
+relations with at most one leg on each side off its states with at most
+two legs, by map-state duality.  The engine is not yet complete for MSpek
+at three legs: it finds 2413 of the 2467 states.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import relations as rel
 from .diagrams import bend_leg, evaluate, parse
-from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, generator_set,
-                         resolve)
+from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, arity,
+                         generator_set, resolve)
 from .relations import CapacityError, Relation, Space, max_arity
 
 
@@ -35,92 +36,23 @@ class ClosureReport:
 
 
 # ---------------------------------------------------------------------------
-# Packed relations.  Over a fixed base b, a relation m -> n is the triple
-# (m, n, bits), with bit x * b**n + y set when the pair (x, y) is in the
-# relation; x and y index tuples in Space.tuples() order.
-
-
-def _ones(bits):
-    """Positions of the set bits, lowest first."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
-def _pack(r: Relation):
-    xs, ys = ({t: i for i, t in enumerate(s.tuples())} for s in (r.dom, r.cod))
-    bits = 0
-    for a, b in r.pairs:
-        bits |= 1 << xs[a] * len(ys) + ys[b]
-    return (r.dom.arity, r.cod.arity, bits)
-
-
-def _unpack(base, p) -> Relation:
-    dom, cod = Space(base, p[0]), Space(base, p[1])
-    xs, ys = list(dom.tuples()), list(cod.tuples())
-    return Relation(dom, cod, frozenset(
-        (xs[i // len(ys)], ys[i % len(ys)]) for i in _ones(p[2])))
-
-
-def _compose(base, r, s):
-    """r ; s for r: m -> k and s: k -> n."""
-    (m, k, a), (_, n, b) = r, s
-    inner, width = base ** k, base ** n
-    mask = (1 << width) - 1
-    out = 0
-    while a:
-        low = a & -a
-        x, y = divmod(low.bit_length() - 1, inner)
-        out |= (b >> y * width & mask) << x * width
-        a ^= low
-    return (m, n, out)
-
-
-def _tensor(base, r, s):
-    (m1, n1, a), (m2, n2, b) = r, s
-    if max(m1 + m2, n1 + n2) > max_arity():
-        raise CapacityError("tensor result exceeds arity ceiling")
-    w1, w2, rows2 = base ** n1, base ** n2, base ** m2
-    out = 0
-    for i in _ones(a):
-        x1, y1 = divmod(i, w1)
-        for x2 in range(rows2):
-            row = b >> x2 * w2 & (1 << w2) - 1
-            out |= row << ((x1 * rows2 + x2) * w1 + y1) * w2
-    return (m1 + m2, n1 + n2, out)
-
-
-def _converse(base, r):
-    m, n, a = r
-    out = 0
-    for i in _ones(a):
-        x, y = divmod(i, base ** n)
-        out |= 1 << y * base ** m + x
-    return (n, m, out)
-
-
-# ---------------------------------------------------------------------------
 # State enumeration, and the one-leg hom sets read off its states.
 
 
-def _generating_maps(base, perms):
-    """Some of the permutations whose composites give all of them; as moves
-    they reach the same states.  The identity, which moves nothing, counts
-    as reached from the start."""
-    ident = _pack(rel.identity(Space(base, 1)))
-    kept, reached = [], {ident}
-    for f in perms:
-        if f in reached:
+def _generating_maps(perms):
+    """Some of the permutation generators whose composites give all of
+    them; as moves they reach the same states.  The identity, which moves
+    nothing, counts as reached from the start."""
+    kept, reached = [], set()
+    for g in perms:
+        if g.perm.is_identity or g.perm in reached:
             continue
-        kept.append(f)
-        reached, work = {ident, *kept}, list(kept)
+        kept.append(g)
+        reached, work = {f.perm for f in kept}, [f.perm for f in kept]
         while work:
             p = work.pop()
-            for g in kept:
-                q = _compose(base, p, g)
+            for f in kept:
+                q = p.then(f.perm)
                 if q not in reached:
                     reached.add(q)
                     work.append(q)
@@ -130,54 +62,59 @@ def _generating_maps(base, perms):
 def enumerate_states(theory=SPEK, max_legs=3):
     """All states of the theory with 1..max_legs legs, as tuple sets.
 
-    Closes the generating states (the generators and their converses with
-    no input leg) under leg-level moves and under tensoring.  A move is one
-    of the other generators or their converses on adjacent legs (a
-    permutation, copying, fusing, capping or discarding), or the swap of two
-    adjacent legs, packed as an n -> m relation and applied by composition.
-    Each state leaves the worklist once and is tensored, both ways round,
-    with every state found so far.  Returns a dict mapping the leg count to
-    the sorted list of nonempty states.
+    Closes the generating states (the generators and their daggers with no
+    input leg) under moves and under tensoring.  A move applies one of the
+    other generators or their daggers (a permutation, copying, fusing,
+    capping or discarding) to the first legs of every row, or swaps two
+    adjacent legs; the swaps bring any legs to the front, so moves on the
+    first legs reach every state that moves on any legs reach.  Each state
+    leaves the worklist once and is tensored, on the left, with every state
+    found so far; swaps give the other order.  Returns a dict mapping the
+    leg count to the sorted list of nonempty states.
     """
     if max_legs < 1:
         raise ValueError("max_legs must be at least 1")
-    base = 2 if theory == HALFSPEK else 4
+    if max_legs > max_arity():
+        raise CapacityError("%d legs exceed the arity ceiling" % max_legs)
     perms, others = [], []
     for g in generator_set(theory):
-        (perms if g.tag == "perm" else others).append(_pack(resolve(g)))
-    others += [_converse(base, g) for g in others]
-    swap = rel.swap(Space(base, 1), Space(base, 1))
-    boxes = _generating_maps(base, perms) + [_pack(swap)] + [
-        g for g in others if g[0]]
-    ids = [_pack(rel.identity(Space(base, k))) for k in range(max_legs + 1)]
-    moves = {n: [] for n in range(1, max_legs + 1)}
-    for n, box, i in itertools.product(moves, boxes, range(max_legs)):
-        k, j = box[:2]                  # box: k -> j on legs i+1..i+k of n
-        if i + k <= n and 0 < n - k + j <= max_legs:
-            moves[n].append(_tensor(base, _tensor(base, ids[i], box),
-                                    ids[n - i - k]))
+        (perms if g.tag == "perm" else others).append(g)
+    others += [g.dagger() for g in others]
+    boxes = []                          # (inputs k, outputs j, k -> j table)
+    for g in _generating_maps(perms) + others:
+        k, j = arity(g)
+        table = {}
+        for a, b in resolve(g).pairs:
+            table.setdefault(a, []).append(b)
+        boxes.append((k, j, table))
 
     found = {n: [] for n in range(1, max_legs + 1)}
     seen, work = set(), []
 
-    def add(s):
-        if s[2] and s not in seen:
+    def add(s, n):
+        if s and s not in seen:
             seen.add(s)
-            found[s[1]].append(s)
-            work.append(s)
+            found[n].append(s)
+            work.append((s, n))
 
-    for g in others:
-        if not g[0]:
-            add(g)
+    for k, j, table in boxes:
+        if not k:
+            add(frozenset(((), b) for b in table[()]), j)
     while work:
-        s = work.pop()
-        for move in moves[s[1]]:
-            add(_compose(base, s, move))
-        for k in range(1, max_legs - s[1] + 1):
-            for t in found[k]:
-                add(_tensor(base, s, t))
-                add(_tensor(base, t, s))
-    return {n: sorted((_unpack(base, s) for s in states),
+        s, n = work.pop()
+        for k, j, table in boxes:
+            if 0 < k <= n and 0 < n - k + j <= max_legs:
+                add(frozenset(((), o + r[k:]) for _, r in s
+                              for o in table.get(r[:k], ())), n - k + j)
+        for i in range(n - 1):
+            add(frozenset(((), r[:i] + (r[i + 1], r[i]) + r[i + 2:])
+                          for _, r in s), n)
+        for m in range(1, max_legs - n + 1):
+            for t in found[m]:
+                add(frozenset(((), a + b) for _, a in s for _, b in t),
+                    n + m)
+    base = 2 if theory == HALFSPEK else 4
+    return {n: sorted((Relation(rel.I, Space(base, n), s) for s in states),
                       key=lambda r: r.to_text())
             for n, states in found.items()}
 
@@ -287,18 +224,41 @@ def check_map_state_duality(theory=SPEK) -> DualityReport:
     ``bijective`` holds when no two states bend to the same map and the
     maps, with the empty one, hold the identity and every one-system
     generator and are closed under composition and converse, as the hom
-    set of a category with a dagger must be.
+    set of a category with a dagger must be.  A map is held as the bitmask
+    of each input's images.
     """
     states = enumerate_states(theory, 2)[2]
     one = Space(2 if theory == HALFSPEK else 4, 1)
     base = one.base
+    index = {d: i for i, d in enumerate(one.digits())}
     ident = rel.identity(one)
-    maps = {_pack(bend_state_to_map(s, 1)) for s in states}
-    homset = maps | {_pack(rel.empty(one, one))}
-    gens = [_pack(resolve(g)) for g in generator_set(theory)]
-    needed = {_pack(ident)} | {g for g in gens if g[:2] == (1, 1)}
-    closed = all(_converse(base, f) in homset for f in homset) and all(
-        _compose(base, f, g) in homset for f in homset for g in homset)
+
+    def images(r):
+        out = [0] * base
+        for (x,), (y,) in r.pairs:
+            out[index[x]] |= 1 << index[y]
+        return tuple(out)
+
+    def unions(g):
+        """The union of g's images of each input set, by bitmask."""
+        table = [0]
+        for img in g:
+            table += [t | img for t in table]
+        return table
+
+    def converse(f):
+        return tuple(sum(1 << x for x, img in enumerate(f) if img >> y & 1)
+                     for y in range(base))
+
+    maps = {images(bend_state_to_map(s, 1)) for s in states}
+    homset = maps | {(0,) * base}
+    needed = {images(ident)} | {images(resolve(g))
+                                for g in generator_set(theory)
+                                if arity(g) == (1, 1)}
+    tables = [unions(g) for g in homset]
+    closed = all(converse(f) in homset for f in homset) and all(
+        tuple(table[img] for img in f) in homset
+        for f in homset for table in tables)
     diagonal = Relation(rel.I, Space(base, 2),
                         frozenset(((), (t, t)) for (t,) in one.tuples()))
     bent_to_ident = [s for s in states if bend_state_to_map(s, 1) == ident]

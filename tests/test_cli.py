@@ -94,6 +94,20 @@ def test_form_rejects_mspek(tmp_path, capsys):
     assert code == 3
 
 
+def test_compare_rejects_non_spek_files_as_form_does(tmp_path, capsys):
+    for theory, source in (("mspek", "theory mspek\nbox a: bot\nout a.1\n"),
+                           ("halfspek",
+                            "theory halfspek\nbox a: eps+\nout a.1\n")):
+        path = tmp_path / (theory + ".spekd")
+        path.write_text(source)
+        _, _, form_err = run(capsys, "form", str(path))
+        code, out, err = run(capsys, "compare", str(path))
+        assert code == 3 and out == ""
+        assert err == form_err and err.count("\n") == 1
+    code, _, _ = run(capsys, "compare", "--theory", "spek")
+    assert code == 7
+
+
 def test_form_jsonl(capsys):
     code, out, _ = run(capsys, "--format", "jsonl", "form",
                        golden("triangle_internalized.spekd"))
@@ -160,6 +174,20 @@ def test_enumerate_writes_report(tmp_path, capsys):
             assert text == "".join(chunks)
             got = [Relation.from_text(c) for c in chunks]
             assert got == report.relations(m, n), (theory, m, n)
+
+
+def test_enumerate_out_onto_a_bad_path_is_refused_first(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    monkeypatch.setattr(vf, "enumerate_states",
+                        lambda *args: calls.append(args))
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    for out_dir in (a_file, a_file / "sub"):
+        code, out, err = run(capsys, "enumerate", "--out", str(out_dir))
+        assert code == 6 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
 
 
 def test_enumerate_writes_the_one_system_closure_at_any_arity(tmp_path,

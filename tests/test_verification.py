@@ -2,15 +2,13 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nets import golden_diagram
 from spekcat import relations as rel
-from spekcat import signatures as sg
 from spekcat import verification as vf
 from spekcat.generators import THEORIES, GeneratorId, generator_set, resolve
 from spekcat.permutations import s4
-from spekcat.relations import I, IV, CapacityError, Relation, Space
+from spekcat.relations import I, CapacityError, Relation, Space
 
 
 def as_state(rows, n):
@@ -155,6 +153,25 @@ def test_map_state_duality_catches_a_missing_state(monkeypatch):
         assert not vf.check_map_state_duality(theory).bijective, theory
 
 
+def test_map_state_duality_catches_an_extra_state(monkeypatch):
+    real = vf.enumerate_states
+
+    def add_constant(theory, max_legs):
+        # the two-leg state {(x, lo)}, which bends to a constant map
+        states = real(theory, max_legs)
+        space = Space(2 if theory == "halfspek" else 4, 2)
+        lo = min(space.digits())
+        states[2] = states[2] + [Relation(I, space, frozenset(
+            ((), (x, lo)) for x in space.digits()))]
+        return states
+
+    monkeypatch.setattr(vf, "enumerate_states", add_constant)
+    for theory in THEORIES:
+        rep = vf.check_map_state_duality(theory)
+        assert rep.n_maps == rep.n_states, theory
+        assert not rep.bijective, theory
+
+
 def test_basis_structure_failure_case():
     d = resolve(GeneratorId("delta", "spek"))
     bad = resolve(GeneratorId("bottom_dagger", "mspek"))
@@ -238,47 +255,14 @@ def test_enumerations_match_pinned_digest():
     assert h.hexdigest() == ENUMERATION_DIGEST
 
 
-@st.composite
-def composable_relations(draw):
-    """A base and relations r: m -> k, s: k -> n, arities 0..2."""
-    base = draw(st.sampled_from([2, 4]))
-    m, k, n = (Space(base, draw(st.integers(0, 2))) for _ in range(3))
-
-    def relation(dom, cod):
-        pairs = [(a, b) for a in dom.tuples() for b in cod.tuples()]
-        return Relation(dom, cod, draw(st.frozensets(st.sampled_from(pairs),
-                                                     max_size=24)))
-
-    return base, relation(m, k), relation(k, n)
-
-
-@settings(max_examples=300, deadline=None)
-@given(composable_relations())
-def test_packed_kernel_matches_relation_algebra(case):
-    base, r, s = case
-    pr, ps = vf._pack(r), vf._pack(s)
-    assert vf._unpack(base, pr) == r
-    assert vf._unpack(base, vf._compose(base, pr, ps)) == r.then(s)
-    assert vf._unpack(base, vf._tensor(base, pr, ps)) == r.tensor(s)
-    assert vf._unpack(base, vf._tensor(base, ps, pr)) == s.tensor(r)
-    assert vf._unpack(base, vf._converse(base, pr)) == r.converse()
-
-
-def test_packed_tensor_refuses_where_relation_tensor_does(monkeypatch):
+def test_enumeration_refuses_above_the_ceiling(monkeypatch):
     monkeypatch.setenv("SPEK_MAX_CELLS", "16")      # arity ceiling 2
-    for base in (2, 4):
-        for arities in itertools.product(range(3), repeat=4):
-            r, s = (rel.empty(Space(base, m), Space(base, n))
-                    for m, n in (arities[:2], arities[2:]))
-            outcomes = []
-            for tensor in (lambda: r.tensor(s), lambda: vf._tensor(
-                    base, vf._pack(r), vf._pack(s))):
-                try:
-                    tensor()
-                    outcomes.append("ok")
-                except CapacityError:
-                    outcomes.append("refused")
-            assert outcomes[0] == outcomes[1], (base, arities)
+    for theory, counts in (("spek", {1: 6, 2: 60}), ("mspek", {1: 7, 2: 91}),
+                           ("halfspek", {1: 2, 2: 6})):
+        states = vf.enumerate_states(theory, 2)
+        assert {n: len(v) for n, v in states.items()} == counts, theory
+        with pytest.raises(CapacityError):
+            vf.enumerate_states(theory, 3)
 
 
 def test_enumerations_respect_the_arity_ceiling(monkeypatch):
