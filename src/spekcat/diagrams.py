@@ -4,11 +4,12 @@ A diagram is a set of generator boxes, wires between box ports, and an
 ordered list of open legs.  Ports are written ``<box>.<slot>`` where input
 slots are named ``in``, ``in2``, ... and output slots ``1``, ``2``, ...
 Wires are direction-free: the induced compact structure of the theories is
-the plain diagonal, so a wire always means equality of the two port values.
-The port index, which says what each port is attached to, is the cached
-property ``Diagram.ports``: built, and the diagram checked, on first access,
-then read by evaluation and every rewriting pass.  Evaluation reduces a wire
-from a box to itself when it builds that box's factor.
+the plain diagonal, so a wire means equality of its two port values, and
+bending a leg only moves it between the inputs and the outputs.  The port
+index, which says what each port is attached to, is the cached property
+``Diagram.ports``: built, and the diagram checked, on first access, or
+handed over by the rewriting pass that built the diagram.  Evaluation
+reduces a wire from a box to itself when it builds that box's factor.
 """
 
 from __future__ import annotations
@@ -352,9 +353,9 @@ def _is_phased_box(gen: GeneratorId) -> bool:
 class _Builder:
     """Mutable companion of Diagram used by the rewriting passes.
 
-    Every edit keeps the port index (as in ``Diagram.ports``) up to date.
-    A removed wire or leg leaves a ``None`` hole until ``finish``, so the
-    positions the index holds stay valid.
+    Every edit keeps the port index (as in ``Diagram.ports``) up to date, and
+    ``finish`` hands it to the new diagram.  A removed wire leaves a ``None``
+    hole until ``finish``, so the positions the index holds stay valid.
     """
 
     def __init__(self, d: Diagram):
@@ -387,10 +388,6 @@ class _Builder:
             del self.index[port]
         self.wires[i] = None
 
-    def add_leg(self, port, direction):
-        self.index[port] = ("leg", len(self.legs))
-        self.legs.append((port, direction))
-
     def reattach(self, port, new_port):
         """Move whatever was attached at ``port`` onto ``new_port``."""
         kind = self.index.pop(port)
@@ -403,42 +400,46 @@ class _Builder:
             i = kind[1]
             self.legs[i] = (new_port, self.legs[i][1])
 
-    def bend(self, k):
-        """Turn open leg k around; the bent leg is appended to the legs."""
-        port, direction = self.legs[k]
-        self.legs[k] = None                # port is wired up below
-        if direction == "in":
-            u = self.add_box("_cup", GeneratorId("epsilon_dagger", self.theory))
-            v = self.add_box("_cupd", GeneratorId("delta", self.theory))
-            self.add_wire((u, "1"), (v, "in"))
-            self.add_wire((v, "1"), port)
-            self.add_leg((v, "2"), "out")
-        else:
-            w = self.add_box("_capd", GeneratorId("delta_dagger", self.theory))
-            e = self.add_box("_cap", GeneratorId("epsilon", self.theory))
-            self.add_wire(port, (w, "in"))
-            self.add_wire((w, "1"), (e, "in"))
-            self.add_leg((w, "in2"), "in")
-
     def finish(self) -> Diagram:
-        return Diagram(self.theory, tuple(self.box_map.items()),
-                       tuple([w for w in self.wires if w is not None]),
-                       tuple([lg for lg in self.legs if lg is not None])
-                       ).validate()
+        """The built diagram, holding the maintained index as its ports."""
+        wires, index = self.wires, self.index
+        if None in wires:                  # renumber past removed wires
+            wires = [w for w in wires if w is not None]
+            for i, (a, b) in enumerate(wires):
+                index[a] = ("wire", i, b)
+                index[b] = ("wire", i, a)
+        if index.keys() != {(name, s) for name, gen in self.box_map.items()
+                            for s in slots(gen)}:
+            raise RuntimeError("port index is not one entry per box slot")
+        d = Diagram(self.theory, tuple(self.box_map.items()), tuple(wires),
+                    tuple(self.legs))
+        d.__dict__.update(box_map=self.box_map, ports=index)
+        return d
+
+
+def _bend(d: Diagram, bent) -> Diagram:
+    """``d`` with the open legs ``bent`` turned around and moved, in that
+    order, to the end of the leg list; each keeps its port."""
+    turn = {"in": "out", "out": "in"}
+    legs = tuple([lg for k, lg in enumerate(d.legs) if k not in bent]
+                 + [(d.legs[k][0], turn[d.legs[k][1]]) for k in bent])
+    ports = dict(d.ports)
+    ports.update((port, ("leg", k)) for k, (port, _) in enumerate(legs))
+    nd = Diagram(d.theory, d.boxes, d.wires, legs)
+    nd.__dict__.update(box_map=d.box_map, ports=ports)
+    return nd
 
 
 def bend_leg(d: Diagram, leg_index: int) -> Diagram:
     """Turn open leg ``leg_index`` (0-based) from input to output or back.
 
-    The bent leg is re-attached at the end of the leg list, through the unit
-    (delta after eps+) or counit (delta+ into eps) of the induced compact
-    structure.
+    The cup and cap of the induced compact structure are the plain diagonal,
+    so bending only relabels: the leg keeps its port, changes direction and
+    moves to the end of the leg list.  Boxes and wires are unchanged.
     """
-    b = _Builder(d)
     if not 0 <= leg_index < len(d.legs):
         raise DiagramError("no open leg %d" % leg_index)
-    b.bend(leg_index)
-    return b.finish()
+    return _bend(d, [leg_index])
 
 
 def as_state(d: Diagram) -> Diagram:
@@ -453,10 +454,7 @@ def as_state(d: Diagram) -> Diagram:
     ins = [k for k, (_, dr) in enumerate(d.legs) if dr == "in"]
     if not ins:
         return d
-    b = _Builder(d)
-    for k in ins:
-        b.bend(k)
-    state = b.finish()
+    state = _bend(d, ins)
     object.__setattr__(d, "_state", state)
     return state
 

@@ -196,7 +196,11 @@ def _parity_maps(zd: ZoneDecomposition):
     """Entry i is ``(mask, offset)``: zone i's parity is ``offset`` plus
     the set bits of ``mask & T``, mod 2.  It is the profile psi_i(T_i) =
     a + b T_i, flipped by T_i + T_j for each zone j linked to it oddly often.
+    Kept on ``zd``, which is immutable: one decomposition builds them once.
     """
+    maps = zd.__dict__.get("_parity_maps")
+    if maps is not None:
+        return maps
     maps = []
     for i, z in enumerate(zd.zones):
         a, a1 = zone_profile(zd.diagram, z.boxes)
@@ -205,14 +209,8 @@ def _parity_maps(zd: ZoneDecomposition):
         for j in adj:
             mask ^= 1 << j
         maps.append((mask, a))
+    zd.__dict__["_parity_maps"] = maps = tuple(maps)
     return maps
-
-
-def _constraints(zd: ZoneDecomposition, maps) -> ConstraintSystem:
-    internal = zd.internal_zones
-    return ConstraintSystem(len(zd.zones),
-                            tuple(maps[i][0] for i in internal),
-                            tuple(1 ^ maps[i][1] for i in internal))
 
 
 def constraint_system(zd: ZoneDecomposition) -> ConstraintSystem:
@@ -222,12 +220,15 @@ def constraint_system(zd: ZoneDecomposition) -> ConstraintSystem:
     counit, so the parity expression psi_i(T_i) + sum over linked zones j of
     (T_i + T_j) is pinned to 1 for every internal zone i.
     """
-    return _constraints(zd, _parity_maps(zd))
+    maps, internal = _parity_maps(zd), zd.internal_zones
+    return ConstraintSystem(len(zd.zones),
+                            tuple(maps[i][0] for i in internal),
+                            tuple(1 ^ maps[i][1] for i in internal))
 
 
 def _form_of(zd: ZoneDecomposition) -> StateForm:
     maps = _parity_maps(zd)
-    system = _constraints(zd, maps)
+    system = constraint_system(zd)
     external = zd.external_zones
     e = len(external)
     signatures = []

@@ -69,7 +69,7 @@ def test_eval_non_utf8_file(tmp_path, capsys):
 
 
 def test_form_golden_outputs(capsys):
-    for name in ("triangle", "triangle_internalized", "chain"):
+    for name in ("triangle", "triangle_internalized", "chain", "bent"):
         code, out, _ = run(capsys, "form", golden(name + ".spekd"))
         assert code == 0
         assert out.startswith(read(name + ".form"))

@@ -70,6 +70,88 @@ def test_contraction_order_independent():
             assert dg.evaluate(d, random.Random(sched)) == base
 
 
+def cup_bend(d, *ks):
+    """Reference: open legs ``ks`` turned around in turn, each through the
+    unit (delta after eps+) or counit (delta+ into eps) of the compact
+    structure, the new leg appended to the leg list.  Bending was done so
+    before it moved the leg instead."""
+    names = {name for name, _ in d.boxes}
+    suffix = {}
+    boxes, wires, legs = list(d.boxes), list(d.wires), list(d.legs)
+
+    def box(stem, tag):
+        k = suffix.get(stem, 0)
+        while "%s%d" % (stem, k) in names:
+            k += 1
+        suffix[stem] = k + 1
+        name = "%s%d" % (stem, k)
+        names.add(name)
+        boxes.append((name, GeneratorId(tag, d.theory)))
+        return name
+
+    for k in ks:
+        port, direction = legs[k]
+        legs[k] = None
+        if direction == "in":
+            u = box("_cup", "epsilon_dagger")
+            v = box("_cupd", "delta")
+            wires += [((u, "1"), (v, "in")), ((v, "1"), port)]
+            legs.append(((v, "2"), "out"))
+        else:
+            w = box("_capd", "delta_dagger")
+            e = box("_cap", "epsilon")
+            wires += [(port, (w, "in")), ((w, "1"), (e, "in"))]
+            legs.append(((w, "in2"), "in"))
+    return dg.Diagram(d.theory, tuple(boxes), tuple(wires),
+                      tuple(lg for lg in legs if lg is not None)).validate()
+
+
+def cup_state(d):
+    """Reference for as_state: every input leg bent by ``cup_bend``."""
+    return cup_bend(d, *[k for k, (_, dr) in enumerate(d.legs) if dr == "in"])
+
+
+@pytest.mark.parametrize("theory", ["spek", "mspek", "halfspek"])
+def test_bending_gives_the_cup_relations(theory):
+    # relabelling a leg denotes what bending it through a cup or cap did,
+    # for every leg of 1000 random diagrams (bot and bot+ among MSpek's)
+    for seed in range(1000):
+        d = random_diagram(seed, theory)
+        state = dg.as_state(d)
+        assert dg.evaluate(state) == dg.evaluate(cup_state(d))
+        for k in range(len(d.legs)):
+            assert (dg.evaluate(dg.bend_leg(d, k))
+                    == dg.evaluate(cup_bend(d, k)))
+        if theory == "spek":
+            form, zd = sg.state_form(d)
+            cup_form, cup_zd = sg.state_form(cup_state(d))
+            assert form == cup_form
+            assert (sg.constraint_system(zd).to_text()
+                    == sg.constraint_system(cup_zd).to_text())
+
+
+def test_handed_over_index_matches_rebuild():
+    for d in rewrite_inputs():
+        built = [dg.bend_leg(d, k) for k in range(len(d.legs))]
+        built += [dg.as_state(d), dg.sigma_normalize(d),
+                  dg.zone_decompose(d).diagram, dg.internalize_normal_form(d)]
+        for nd in built:
+            fresh = dg.Diagram(nd.theory, nd.boxes, nd.wires, nd.legs)
+            assert nd.ports == fresh.ports
+            assert nd.box_map == fresh.box_map
+
+
+def test_finish_refuses_an_index_that_misses_a_slot():
+    b = dg._Builder(dg.parse(ETA_SRC))
+    b.add_box("_z", GeneratorId("identity", "spek"))   # its ports are unheld
+    with pytest.raises(RuntimeError):
+        b.finish()
+    b = dg._Builder(dg.parse(ETA_SRC))
+    del b.box_map["e"]                  # e.1 stays in the index
+    with pytest.raises(RuntimeError):
+        b.finish()
+
+
 def test_bend_identity_gives_diagonal_state():
     d = dg.parse("box i: id\nin i.in\nout i.1\n")
     st = dg.as_state(d)
@@ -215,7 +297,7 @@ def test_capacity_errors_follow_the_schedule(monkeypatch):
                              (random.Random, CAPACITY_SEEDS_RNG)):
         raised = []
         for seed in range(300):
-            d = dg.as_state(random_diagram(seed))
+            d = cup_state(random_diagram(seed))
             try:
                 dg.evaluate(d, rng=schedule(seed))
             except CapacityError:
@@ -279,7 +361,7 @@ def test_schedule_matches_rescanning_reference(monkeypatch):
 
     monkeypatch.setattr(dg, "_join", recording_join)
     for seed in range(200):
-        d = dg.as_state(random_diagram(seed, max_boxes=12))
+        d = cup_state(random_diagram(seed, max_boxes=12))
         for schedule in (lambda: None, lambda: random.Random(seed)):
             joins.clear()
             dg.evaluate(d, rng=schedule())
@@ -333,22 +415,12 @@ def test_fused_join_matches_join_then_drop(pair):
     assert (out.vars, out.rows) == join_then_drop(f1, f2)
 
 
-def rewrite_record(d):
-    """Every rewriting pass applied to d, as text: a pass's output diagram
-    by its source and leg tuple, an exception by its type and message."""
-    def text(nd):
-        return nd.to_source() + repr(nd.legs)
+def diagram_text(nd):
+    return nd.to_source() + repr(nd.legs)
 
-    def zones(zd):
-        adjacency = [sorted(zd.adjacency(i)) for i in range(len(zd.zones))]
-        return repr((text(zd.diagram), zd.zones, zd.links, zd.leg_reorder,
-                     adjacency))
 
-    passes = [lambda k=k: text(dg.bend_leg(d, k)) for k in range(len(d.legs))]
-    passes += [lambda: text(dg.as_state(d)),
-               lambda: text(dg.sigma_normalize(d)),
-               lambda: zones(dg.zone_decompose(d)),
-               lambda: text(dg.internalize_normal_form(d))]
+def run_passes(passes):
+    """Each pass's output, or the exception it raised by type and message."""
     out = []
     for run in passes:
         try:
@@ -356,6 +428,26 @@ def rewrite_record(d):
         except Exception as exc:
             out.append("%s: %s" % (type(exc).__name__, exc))
     return out
+
+
+def bend_record(d):
+    """bend_leg at every open leg, then as_state, each output as text."""
+    passes = [lambda k=k: diagram_text(dg.bend_leg(d, k))
+              for k in range(len(d.legs))]
+    return run_passes(passes + [lambda: diagram_text(dg.as_state(d))])
+
+
+def normal_record(d):
+    """sigma_normalize, zone_decompose and internalize_normal_form applied
+    to d, each output as text."""
+    def zones(zd):
+        adjacency = [sorted(zd.adjacency(i)) for i in range(len(zd.zones))]
+        return repr((diagram_text(zd.diagram), zd.zones, zd.links,
+                     zd.leg_reorder, adjacency))
+
+    return run_passes([lambda: diagram_text(dg.sigma_normalize(d)),
+                       lambda: zones(dg.zone_decompose(d)),
+                       lambda: diagram_text(dg.internalize_normal_form(d))])
 
 
 def random_wiring(seed):
@@ -400,24 +492,30 @@ def rewrite_inputs():
         yield dg.parse(chain(n))
 
 
-def rewrite_digest():
+def rewrite_digest(record):
     h = hashlib.sha256()
     for d in rewrite_inputs():
-        for line in rewrite_record(d):
+        for line in record(d):
             h.update(line.encode() + b"\0")
     return h.hexdigest()
 
 
-# sha256 of rewrite_record over rewrite_inputs, recorded from the rewriting
-# passes that located ports by scanning every wire and leg: bend_leg,
-# as_state, sigma_normalize, zone_decompose and internalize_normal_form
-# must give the same diagrams, box names and orders, wire orientations,
-# leg orders, zones and links.
-REWRITE_DIGEST = "1e72760b8776f0dea5748a78df110edcec19af6f97c0c26d1f3eb11f2027e453"
+# sha256 of normal_record over rewrite_inputs, recorded from the passes that
+# rebuilt and checked the port index of every diagram they built:
+# sigma_normalize, zone_decompose and internalize_normal_form must give the
+# same diagrams, box names and orders, wire orientations, leg orders, zones
+# and links.
+NORMAL_DIGEST = "14ef97f0a985886d5d449b1175b50461eba2df3f0ce25390a594523f8f6b900b"
+
+# sha256 of bend_record over rewrite_inputs, recorded when bending became a
+# relabelling of the leg list; test_bending_gives_the_cup_relations vouches
+# for its relations.
+BEND_DIGEST = "26b2d14d4db8bca862fd8957f08c890a37d6465d1f874e1803fd59a341f98030"
 
 
 def test_rewrites_match_pinned_digest():
-    assert rewrite_digest() == REWRITE_DIGEST
+    assert rewrite_digest(normal_record) == NORMAL_DIGEST
+    assert rewrite_digest(bend_record) == BEND_DIGEST
 
 
 def test_evaluate_long_chain_matches_closed_form():

@@ -59,6 +59,26 @@ def test_internalized_signatures_and_constraint():
     assert system.to_text() == "T1 + T2 + T3 = 0"
 
 
+def test_parity_maps_are_built_once_per_decomposition(monkeypatch):
+    # `spekcat form` and duplication_analysis read the constraint system
+    # after the closed form of the same decomposition
+    profiled = []
+    profile = sg.zone_profile
+
+    def counting_profile(diagram, boxes):
+        profiled.append(boxes)
+        return profile(diagram, boxes)
+
+    monkeypatch.setattr(sg, "zone_profile", counting_profile)
+    d = golden_diagram("triangle_internalized")
+    _, zd = sg.state_form(d)
+    assert sg.constraint_system(zd).to_text() == "T1 + T2 + T3 = 0"
+    assert len(profiled) == len(zd.zones) == 3
+    profiled.clear()
+    assert sg.duplication_analysis(d).duplication_factor == 1
+    assert len(profiled) == 3
+
+
 def test_triangle_form_text_layout():
     form, _ = sg.state_form(golden_diagram("triangle_internalized"))
     assert form.to_text().splitlines() == [
@@ -71,7 +91,7 @@ def test_triangle_form_text_layout():
 
 def test_forms_match_brute_force_on_worked_examples():
     for name in ("triangle", "triangle_internalized", "chain", "ghz",
-                 "eta"):
+                 "eta", "bent"):
         d = golden_diagram(name)
         form, _ = sg.state_form(d)
         assert form.expand() == dg.evaluate(dg.as_state(d))
