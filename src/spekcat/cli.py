@@ -111,19 +111,18 @@ def cmd_compare(args):
 
 
 def cmd_enumerate(args):
-    if args.arity > 3:
+    if args.arity > 4:
         print("warning: arity %d enumeration may take a long time"
               % args.arity, file=sys.stderr)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    states = vf.enumerate_states(args.theory, args.arity)
-    for n in sorted(states):
+    for n, count in vf.count_states(args.theory, args.arity).items():
         if args.format == "jsonl":
-            print(json.dumps({"legs": n, "states": len(states[n])}))
+            print(json.dumps({"legs": n, "states": count}))
         else:
-            print("legs=%d states=%d" % (n, len(states[n])))
+            print("legs=%d states=%d" % (n, count))
         if n == 1:
-            for s in states[n]:
+            for s in vf.enumerate_states(args.theory, 1)[1]:
                 row = sorted(t[0] for _, t in s.pairs)
                 if args.format == "jsonl":
                     print(json.dumps({"state": row}))
@@ -172,6 +171,14 @@ def _verify_lines(suites, arity):
               str(cs.counts))
         cm = vf.check_mspek_cardinalities(mspek_states, MSPEK)
         check("cardinality.mspek-range", cm.ok, str(cm.counts))
+        for theory, states in ((SPEK, spek_states), (MSPEK, mspek_states),
+                               (HALFSPEK, vf.enumerate_states(HALFSPEK,
+                                                              arity))):
+            got = {n: len(v) for n, v in states.items()}
+            want = vf.closed_form_counts(theory, arity)
+            check("cardinality.%s-count" % theory, got == want,
+                  str(got) if got == want
+                  else "%s, closed form %s" % (got, want))
     if "duality" in suites:
         for theory in (SPEK, MSPEK, HALFSPEK):
             rep = vf.check_map_state_duality(theory)

@@ -110,24 +110,6 @@ def resolve(gen: GeneratorId) -> Relation:
     return resolve(gen.dagger()).converse()
 
 
-def half_component(gen: GeneratorId, side: str) -> GeneratorId:
-    """The HalfSpek generator a phased Spek generator restricts to on one half.
-
-    side "12" relabels 1->0, 2->1; side "34" relabels 3->0, 4->1.
-    """
-    if side not in ("12", "34"):
-        raise ValueError("side must be '12' or '34'")
-    if gen.theory == HALFSPEK:
-        raise ValueError("already a HalfSpek generator")
-    if gen.tag in ("bottom", "bottom_dagger"):
-        raise TheoryError("bottom has no half component")
-    if gen.tag == "perm":
-        if not gen.perm.is_phased:
-            raise ValueError("unphased permutation %s is not parallel" % gen.perm)
-        return GeneratorId("perm", HALFSPEK, gen.perm.half_restriction(side))
-    return GeneratorId(gen.tag, HALFSPEK)
-
-
 def generator_set(theory: str):
     """The generating morphisms of a theory, in deterministic order."""
     from .permutations import s4, z2

@@ -39,10 +39,6 @@ class Permutation:
         return Permutation(self.base, tuple(inv[x] for x in self.elements()))
 
     @property
-    def is_identity(self) -> bool:
-        return self.images == tuple(self.elements())
-
-    @property
     def is_phased(self) -> bool:
         """True iff the permutation preserves {1,2} and {3,4} setwise.
 
@@ -143,10 +139,6 @@ def z2():
 
 def phased_permutations():
     return [p for p in s4() if p.is_phased]
-
-
-def classify_permutation(p: Permutation) -> str:
-    return "phased" if p.is_phased else "unphased"
 
 
 @lru_cache(maxsize=1)

@@ -26,9 +26,7 @@ from typing import Tuple
 
 from . import gf2
 from . import relations as rel
-from .diagrams import (Diagram, DiagramError, ZoneDecomposition, as_state,
-                       zone_decompose)
-from .generators import HALFSPEK
+from .diagrams import Diagram, ZoneDecomposition, as_state, zone_decompose
 from .permutations import Z2_SWAP
 from .relations import CapacityError, Relation, Space, max_arity
 
@@ -58,19 +56,6 @@ def zone_profile(diagram: Diagram, boxes) -> Tuple[int, int]:
                 swaps += 1
         psi.append((1 + swaps) % 2)
     return tuple(psi)
-
-
-def halfspek_parity(diagram: Diagram) -> int:
-    """Parity bit of a connected phased HalfSpek diagram's state.
-
-    The state is the set of bit strings whose sum matches the number of swap
-    boxes; with the Odd=0/Even=1 encoding the bit is 1 + #swaps mod 2.
-    """
-    if diagram.theory != HALFSPEK:
-        raise DiagramError("parity shortcut applies to HalfSpek diagrams")
-    swaps = sum(1 for _, gen in diagram.boxes
-                if gen.tag == "perm" and gen.perm == Z2_SWAP)
-    return (1 + swaps) % 2
 
 
 @dataclass(frozen=True)

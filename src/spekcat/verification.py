@@ -1,13 +1,11 @@
 """State enumeration and consistency checks for the toy theories.
 
-One engine, ``enumerate_states``, closes the generating states under
-moves built from the generators.  A state is the set of its ``((), row)``
-pairs, the set ``Relation.pairs`` holds.  A move rewrites the first legs of
-every row through a table of a generator's pairs, and swaps of adjacent
-legs bring any legs to the front.  ``enumerate_closure`` reads the
-relations with at most one leg on each side off its states with at most
-two legs, by map-state duality.  The engine is not yet complete for MSpek
-at three legs: it finds 2413 of the 2467 states.
+One enumerator, ``enumerate_states``, lists the states of the phase-space
+model (Pusey, arXiv:1103.5037), the explicit description of the states the
+generators build.  A state is the set of its ``((), row)`` pairs, the set
+``Relation.pairs`` holds.  ``enumerate_closure`` reads the relations with
+at most one leg on each side off the states with at most two legs, by
+map-state duality.
 """
 
 from __future__ import annotations
@@ -16,10 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from . import gf2
 from . import relations as rel
-from .diagrams import bend_leg, evaluate, parse
+from .diagrams import Diagram, bend_leg, evaluate, parse
 from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, arity,
                          generator_set, resolve)
+from .permutations import Z2_SWAP
 from .relations import CapacityError, Relation, Space, max_arity
 
 
@@ -36,87 +36,106 @@ class ClosureReport:
 
 
 # ---------------------------------------------------------------------------
-# State enumeration, and the one-leg hom sets read off its states.
+# State enumeration in the phase-space model, and the one-leg hom sets read
+# off its states.
 
 
-def _generating_maps(perms):
-    """Some of the permutation generators whose composites give all of
-    them; as moves they reach the same states.  The identity, which moves
-    nothing, counts as reached from the start."""
-    kept, reached = [], set()
-    for g in perms:
-        if g.perm.is_identity or g.perm in reached:
-            continue
-        kept.append(g)
-        reached, work = {f.perm for f in kept}, [f.perm for f in kept]
-        while work:
-            p = work.pop()
-            for f in kept:
-                q = p.then(f.perm)
-                if q not in reached:
-                    reached.add(q)
-                    work.append(q)
-    return kept
+def _sums(vectors):
+    """The sum of every subset of the vectors (bitmasks)."""
+    sums = [0]
+    for v in vectors:
+        sums += [s ^ v for s in sums]
+    return sums
+
+
+def _isotropic(n, dims):
+    """Each isotropic subspace of Z2^(2n) with a dimension in ``dims``, once,
+    as reduced rows: per set of pivot columns, depth first, a row is its
+    pivot plus any lower bits that are no pivot, orthogonal to the rows
+    before it.  Bits 2i+1 and 2i are the p and q of leg n-1-i, and
+    omega(u, v) is the parity of v & u with each leg's p and q swapped."""
+    qs = int("01" * n, 2)
+
+    def grow(candidates, rows, flips):
+        if len(rows) == len(candidates):
+            yield rows
+            return
+        for row in candidates[len(rows)]:
+            if not any((row & f).bit_count() & 1 for f in flips):
+                yield from grow(candidates, rows + [row],
+                                flips + [(row >> 1) & qs | (row & qs) << 1])
+
+    for k in dims:
+        for pivots in itertools.combinations(range(2 * n), k):
+            yield from grow(
+                [[(1 << p) | s for s in
+                  _sums([1 << c for c in range(p) if c not in pivots])]
+                 for p in pivots], [], [])
+
+
+def _partitions(n):
+    """Each partition of n legs into blocks, as the blocks' bitmasks."""
+    if not n:
+        yield []
+        return
+    leg = 1 << (n - 1)
+    for blocks in _partitions(n - 1):
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + [block | leg] + blocks[i + 1:]
+        yield blocks + [leg]
+
+
+def _row_spaces(theory, max_legs):
+    """(n, the reduced rows A) for each space {x : Ax = c} of n-leg states:
+    an isotropic subspace, Lagrangian for Spek, or for HalfSpek the blocks
+    of a partition of the legs."""
+    if max_legs < 1:
+        raise ValueError("max_legs must be at least 1")
+    if max_legs > max_arity():
+        raise CapacityError("%d legs exceed the arity ceiling" % max_legs)
+    for n in range(1, max_legs + 1):
+        for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
+                n, (n,) if theory == SPEK else range(n + 1))):
+            yield n, rows
+
+
+def count_states(theory=SPEK, max_legs=3):
+    """The number of states on each of 1..max_legs legs, without building
+    them: the rows of ``enumerate_states``, 2^k states on k rows."""
+    counts = dict.fromkeys(range(1, max_legs + 1), 0)
+    for n, rows in _row_spaces(theory, max_legs):
+        counts[n] += 1 << len(rows)
+    return counts
 
 
 def enumerate_states(theory=SPEK, max_legs=3):
     """All states of the theory with 1..max_legs legs, as tuple sets.
 
-    Closes the generating states (the generators and their daggers with no
-    input leg) under moves and under tensoring.  A move applies one of the
-    other generators or their daggers (a permutation, copying, fusing,
-    capping or discarding) to the first legs of every row, or swaps two
-    adjacent legs; the swaps bring any legs to the front, so moves on the
-    first legs reach every state that moves on any legs reach.  Each state
-    leaves the worklist once and is tensored, on the left, with every state
-    found so far; swaps give the other order.  Returns a dict mapping the
-    leg count to the sorted list of nonempty states.
+    A state is the solution set {x : Ax = c} of one row space A and one
+    value vector c.  Value v of Spek and MSpek is the bits (p, q) =
+    divmod(v - 1, 2), a HalfSpek value one bit; with leg 0 most significant
+    a solution x is the index of its row in ``Space.tuples()`` order.  The
+    rows are reduced, so the particular solutions are the sums of their
+    pivots.  Returns a dict mapping the leg count to the list of states,
+    sorted by text.
     """
-    if max_legs < 1:
-        raise ValueError("max_legs must be at least 1")
-    if max_legs > max_arity():
-        raise CapacityError("%d legs exceed the arity ceiling" % max_legs)
-    perms, others = [], []
-    for g in generator_set(theory):
-        (perms if g.tag == "perm" else others).append(g)
-    others += [g.dagger() for g in others]
-    boxes = []                          # (inputs k, outputs j, k -> j table)
-    for g in _generating_maps(perms) + others:
-        k, j = arity(g)
-        table = {}
-        for a, b in resolve(g).pairs:
-            table.setdefault(a, []).append(b)
-        boxes.append((k, j, table))
-
-    found = {n: [] for n in range(1, max_legs + 1)}
-    seen, work = set(), []
-
-    def add(s, n):
-        if s and s not in seen:
-            seen.add(s)
-            found[n].append(s)
-            work.append((s, n))
-
-    for k, j, table in boxes:
-        if not k:
-            add(frozenset(((), b) for b in table[()]), j)
-    while work:
-        s, n = work.pop()
-        for k, j, table in boxes:
-            if 0 < k <= n and 0 < n - k + j <= max_legs:
-                add(frozenset(((), o + r[k:]) for _, r in s
-                              for o in table.get(r[:k], ())), n - k + j)
-        for i in range(n - 1):
-            add(frozenset(((), r[:i] + (r[i + 1], r[i]) + r[i + 2:])
-                          for _, r in s), n)
-        for m in range(1, max_legs - n + 1):
-            for t in found[m]:
-                add(frozenset(((), a + b) for _, a in s for _, b in t),
-                    n + m)
     base = 2 if theory == HALFSPEK else 4
-    return {n: sorted((Relation(rel.I, Space(base, n), s) for s in states),
-                      key=lambda r: r.to_text())
-            for n, states in found.items()}
+    indices = {}
+    for n, rows in _row_spaces(theory, max_legs):
+        _, kernel = gf2.solve(rows, [0] * len(rows), n * base // 2)
+        span = _sums(kernel)
+        indices.setdefault(n, []).extend(
+            sorted(p ^ s for s in span)
+            for p in _sums([1 << (r.bit_length() - 1) for r in rows]))
+    found = {}
+    for n, states in indices.items():
+        # every row has n digits, so sorted index lists sort as the texts
+        space = Space(base, n)
+        entries = [((), row) for row in space.tuples()]
+        found[n] = [Relation(rel.I, space, frozenset(map(entries.__getitem__,
+                                                         idx)))
+                    for idx in sorted(states)]
+    return found
 
 
 def enumerate_closure(theory=SPEK) -> ClosureReport:
@@ -280,18 +299,32 @@ class CardinalityVerdict:
 
 def check_mspek_cardinalities(states_by_legs, theory=MSPEK):
     """Power-of-two cardinality bounds on every enumerated state."""
-    ok = True
-    exact = True
-    counts = {}
-    for n, states in states_by_legs.items():
-        counts[n] = sorted({len(s.pairs) for s in states})
-        for s in states:
-            if not _balanced(len(s.pairs), n):
-                ok = False
-            if len(s.pairs) != 1 << n:
-                exact = False
+    counts = {n: sorted({len(s.pairs) for s in states})
+              for n, states in states_by_legs.items()}
+    ok = all(_balanced(c, n) for n, cs in counts.items() for c in cs)
+    exact = all(c == 1 << n for n, cs in counts.items() for c in cs)
     return CardinalityVerdict(theory, ok, counts,
                               exact if theory == SPEK else None)
+
+
+def closed_form_counts(theory=SPEK, max_legs=3):
+    """The number of states on each of 1..max_legs legs, by formula: 2^k
+    states on each k-dimensional isotropic subspace of Z2^(2n) (k = n for
+    Spek), of which there are prod_{i<k} (4^(n-i) - 1) / (2^(i+1) - 1), or
+    for HalfSpek on each of the S(n, k) partitions of the legs into k
+    blocks (S(n, k) the Stirling numbers of the second kind)."""
+    counts, stirling = {}, [1]          # S(n, k) for k = 0..n, from n = 0
+    for n in range(1, max_legs + 1):
+        stirling = [k * a + b for k, (a, b) in
+                    enumerate(zip(stirling + [0], [0] + stirling))]
+        counts[n], subspaces = 0, 1
+        for k in range(n + 1):
+            if theory == HALFSPEK:
+                counts[n] += stirling[k] << k
+            elif theory == MSPEK or k == n:
+                counts[n] += subspaces << k
+            subspaces = subspaces * (4 ** (n - k) - 1) // (2 ** (k + 1) - 1)
+    return counts
 
 
 def halfspek_parity_sweep(max_boxes=5):
@@ -304,9 +337,6 @@ def halfspek_parity_sweep(max_boxes=5):
     swap boxes.  Closed diagrams must evaluate to the scalar matching that
     parity.  Returns (diagrams checked, list of failures).
     """
-    from .diagrams import Diagram
-    from .permutations import Z2_SWAP
-
     seed = parse("theory halfspek\nbox r: eps+\nout r.1\n")
     queue = [(seed, 0)]
     checked = 0
@@ -314,28 +344,22 @@ def halfspek_parity_sweep(max_boxes=5):
     while queue:
         d, swaps = queue.pop()
         n = len(d.legs)
-        r = evaluate(d)
         checked += 1
-        if n == 0:
-            expect_full = swaps % 2 == 0
-            if bool(r.pairs) != expect_full:
-                failures.append(d.to_source())
-        else:
-            want = frozenset(((), row)
-                             for row in Space(2, n).tuples()
-                             if sum(row) % 2 == swaps % 2)
-            if r.pairs != want:
-                failures.append(d.to_source())
+        # with no legs, the one empty row: the full scalar iff swaps is even
+        if evaluate(d).pairs != frozenset(((), row)
+                                          for row in Space(2, n).tuples()
+                                          if sum(row) % 2 == swaps % 2):
+            failures.append(d.to_source())
         if len(d.boxes) >= max_boxes:
             continue
         for i in range(n):
             port, _ = d.legs[i]
             rest = [lg for k, lg in enumerate(d.legs) if k != i]
             name = "b%d" % len(d.boxes)
-            for gen, ports, new_out in (
-                    (GeneratorId("delta", HALFSPEK), ("in",), ("1", "2")),
-                    (GeneratorId("epsilon", HALFSPEK), ("in",), ()),
-                    (GeneratorId("perm", HALFSPEK, Z2_SWAP), ("in",), ("1",))):
+            for gen, new_out in (
+                    (GeneratorId("delta", HALFSPEK), ("1", "2")),
+                    (GeneratorId("epsilon", HALFSPEK), ()),
+                    (GeneratorId("perm", HALFSPEK, Z2_SWAP), ("1",))):
                 nd = Diagram(
                     HALFSPEK,
                     d.boxes + ((name, gen),),

@@ -232,6 +232,48 @@ def test_verify_duality(capsys):
         "PASS duality.halfspek.identity-diagonal"]
 
 
+def test_verify_compares_counts_with_closed_forms(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--suite", "cardinality",
+                       "--arity", "3")
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("PASS cardinality.spek-count {1: 6, 2: 60, 3: 1080}",
+                 "PASS cardinality.mspek-count {1: 7, 2: 91, 3: 2467}",
+                 "PASS cardinality.halfspek-count {1: 2, 2: 6, 3: 22}"):
+        assert line in lines
+    real = vf.enumerate_states
+
+    def drop_one(theory, max_legs):
+        states = real(theory, max_legs)
+        if theory == "mspek":
+            states[3] = states[3][1:]
+        return states
+
+    monkeypatch.setattr(vf, "enumerate_states", drop_one)
+    code, out, _ = run(capsys, "verify", "--suite", "cardinality",
+                       "--arity", "3")
+    assert code == 5
+    assert ("FAIL cardinality.mspek-count {1: 7, 2: 91, 3: 2466}, "
+            "closed form {1: 7, 2: 91, 3: 2467}") in out.splitlines()
+
+
+def test_enumerate_counts_without_building_states(capsys, monkeypatch):
+    calls = []
+    real = vf.enumerate_states
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vf, "enumerate_states", record)
+    code, out, _ = run(capsys, "enumerate", "--theory", "mspek",
+                       "--arity", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert "legs=3 states=2467" in lines and "legs=4 states=150451" in lines
+    assert calls == [("mspek", 1)]
+
+
 def test_verify_kbp_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kbp", "--arity", "2")
     assert code == 0

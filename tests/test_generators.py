@@ -4,9 +4,8 @@ import pytest
 
 from spekcat import relations as rel
 from spekcat.generators import (GeneratorId, TheoryError, arity,
-                                generator_set, half_component,
-                                parse_generator_name, resolve)
-from spekcat.permutations import perm_from_cycles, s4
+                                generator_set, parse_generator_name, resolve)
+from spekcat.permutations import perm_from_cycles, phased_permutations, s4
 
 
 def test_epsilon_table():
@@ -63,31 +62,41 @@ def test_permutation_relations_distinct_and_closed():
         assert rels[a].converse() in values
 
 
+def half_generator(g, side):
+    """The HalfSpek generator a phased Spek generator restricts to on the
+    values of one side ("12" reads 1, 2 as 0, 1; "34" reads 3, 4 so)."""
+    if g.tag == "perm":
+        return GeneratorId("perm", "halfspek", g.perm.half_restriction(side))
+    return GeneratorId(g.tag, "halfspek")
+
+
 def test_parallel_decomposition_of_phased_generators():
     # a phased generator is the disjoint union of its two-level components
-    for tag in ("delta", "epsilon", "delta_dagger", "epsilon_dagger"):
-        g = GeneratorId(tag, "spek")
+    gens = [GeneratorId(tag, "spek") for tag in
+            ("delta", "epsilon", "delta_dagger", "epsilon_dagger")]
+    gens += [GeneratorId("perm", "spek", p) for p in phased_permutations()]
+    for g in gens:
         whole = resolve(g)
         relabeled = set()
         for side, shift in (("12", 1), ("34", 3)):
-            part = resolve(half_component(g, side))
+            part = resolve(half_generator(g, side))
             for a, b in part.pairs:
                 relabeled.add((tuple(x + shift for x in a),
                                tuple(x + shift for x in b)))
-        assert whole.pairs == frozenset(relabeled)
+        assert whole.pairs == frozenset(relabeled), g.name
 
 
 def test_half_component_of_phased_perm():
     g = GeneratorId("perm", "spek", perm_from_cycles("(12)"))
-    assert resolve(half_component(g, "12")).pairs == frozenset(
+    assert resolve(half_generator(g, "12")).pairs == frozenset(
         {((0,), (1,)), ((1,), (0,))})
-    assert resolve(half_component(g, "34")) == rel.identity(rel.II)
+    assert resolve(half_generator(g, "34")) == rel.identity(rel.II)
 
 
 def test_half_component_rejects_unphased():
     g = GeneratorId("perm", "spek", perm_from_cycles("(24)"))
     with pytest.raises(ValueError):
-        half_component(g, "12")
+        half_generator(g, "12")
 
 
 def test_generator_sets():

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from spekcat.permutations import (IDENTITY_4, SIGMA, Z2_SWAP, Permutation,
-                                  classify_permutation, perm_from_cycles,
+from spekcat.permutations import (IDENTITY_2, IDENTITY_4, SIGMA, Z2_SWAP,
+                                  Permutation, perm_from_cycles,
                                   phased_permutations, s4, sigma_decompose,
                                   z2)
 
@@ -22,10 +22,10 @@ def test_group_sizes():
 
 
 def test_phased_classification():
-    assert classify_permutation(IDENTITY_4) == "phased"
-    assert classify_permutation(SIGMA) == "unphased"
-    assert classify_permutation(perm_from_cycles("(12)(34)")) == "phased"
-    assert classify_permutation(perm_from_cycles("(1234)")) == "unphased"
+    assert IDENTITY_4.is_phased
+    assert not SIGMA.is_phased
+    assert perm_from_cycles("(12)(34)").is_phased
+    assert not perm_from_cycles("(1234)").is_phased
 
 
 def test_sigma_is_24():
@@ -62,7 +62,7 @@ def test_sigma_decompose_phased_needs_no_sigma():
 
 def test_sigma_decompose_unphased_uses_sigma():
     for p in s4():
-        if classify_permutation(p) == "unphased":
+        if not p.is_phased:
             assert SIGMA in sigma_decompose(p)
 
 
@@ -82,7 +82,7 @@ def test_inverse():
 def test_half_restriction():
     p = perm_from_cycles("(12)")
     assert p.half_restriction("12") == Z2_SWAP
-    assert p.half_restriction("34").is_identity
+    assert p.half_restriction("34") == IDENTITY_2
 
 
 def test_kept_properties_raise_and_keep_equality():

@@ -328,20 +328,6 @@ def test_closed_form_matches_tally_on_random_diagrams():
     assert repeated
 
 
-def test_halfspek_parity_matches_evaluation():
-    src_even = "theory halfspek\nbox e: eps+\nout e.1\n"
-    src_odd = ("theory halfspek\nbox e: eps+\nbox p: perm((01))\n"
-               "wire e.1 p.in\nout p.1\n")
-    assert sg.halfspek_parity(dg.parse(src_even)) == 1
-    assert sg.halfspek_parity(dg.parse(src_odd)) == 0
-    assert dg.evaluate(dg.parse(src_odd)).pairs == frozenset({((), (1,))})
-
-
-def test_halfspek_parity_rejects_spek():
-    with pytest.raises(dg.DiagramError):
-        sg.halfspek_parity(golden_diagram("eta"))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=100000))
 def test_oracle_equivalence_random(seed):
