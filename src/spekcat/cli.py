@@ -242,6 +242,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "arity", 1) < 1:
         parser.error("--arity must be at least 1")
+    if getattr(args, "random", 0) < 0:
+        parser.error("--random must be at least 0")
     try:
         max_arity()
     except ValueError as exc:

@@ -243,11 +243,13 @@ def _join(f1: _Factor, f2: _Factor) -> _Factor:
 def evaluate(d: Diagram, rng=None) -> Relation:
     """The relation a diagram denotes; independent of contraction order.
 
-    Greedy schedule: of the factor pairs sharing a variable, join the one
-    with the narrowest result, ties to the earliest pair in factor order
-    (``rng`` picks among all candidates instead).  A join whose operands
-    hold more than twice ``max_arity()`` distinct variables raises
-    ``CapacityError``; the ceiling is read once per call.
+    Greedy schedule on the multigraph of boxes and wires: of the factor
+    pairs linked by a wire, join the one with the narrowest result, ties
+    to the earliest pair in factor order (``rng`` picks among all
+    candidates instead).  A join contracts the pair into one node, whose
+    wire counts are the sums of theirs.  A join whose operands hold more
+    than twice ``max_arity()`` distinct variables raises ``CapacityError``;
+    the ceiling is read once per call.
     """
     ceiling = 2 * max_arity()
     # variables: ("w", i) for wire i, ("l", k) for leg k
@@ -281,22 +283,18 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         return _join(f1, f2)
 
     # A variable is a wire (two ports) or a leg (one port): at most two
-    # factors hold it, and one two factors share dies with their join (its
-    # holders entry is never read again).
-    holders = {}                 # variable -> ids of the factors holding it
-    for i, f in factors.items():
-        for v in f.vars:
-            holders.setdefault(v, set()).add(i)
+    # factors hold it, and one two factors share dies with their join.  So
+    # a pair's width is its two widths less twice its wire count.
+    box_id = {name: i for i, (name, _) in enumerate(d.boxes)}
+    links = {i: {} for i in factors}     # i -> {j: wires between i and j}
+    for (a, _), (b, _) in d.wires:
+        i, j = box_id[a], box_id[b]
+        if i != j:               # self-wires are reduced in their factor
+            links[i][j] = links[j][i] = links[i].get(j, 0) + 1
 
-    widths = {}                  # (i, j), i < j, sharing a variable -> width
-
-    def score(i, j):
-        vi, vj = factors[i].vars, factors[j].vars
-        widths[i, j] = len(vi) + len(vj) - 2 * sum(v in vj for v in vi)
-
-    for held in holders.values():
-        if len(held) == 2:
-            score(*sorted(held))
+    # (i, j), i < j, linked by a wire -> the width of their join
+    widths = {(i, j): len(factors[i].vars) + len(factors[j].vars) - 2 * n
+              for i, row in links.items() for j, n in row.items() if i < j}
 
     while widths:
         if rng is None:
@@ -304,20 +302,19 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         else:
             _, i, j = rng.choice(sorted((w, i, j)
                                         for (i, j), w in widths.items()))
-        fi, fj = factors.pop(i), factors.pop(j)
-        gone = [v for v in fi.vars if v in fj.vars]
-        f = join(fi, fj, len(gone))
+        f = join(factors.pop(i), factors.pop(j), links[i][j])
         new = next(ids)
         factors[new] = f
-        for pair in [p for p in widths if i in p or j in p]:
-            del widths[pair]
-        for v in f.vars:
-            held = holders[v]
-            held.discard(i)
-            held.discard(j)
-            held.add(new)
-        for m in {m for v in f.vars for m in holders[v]} - {new}:
-            score(m, new)
+        merged = links[new] = {}
+        for old in (i, j):
+            for m, n in links.pop(old).items():
+                del links[m][old]
+                del widths[(m, old) if m < old else (old, m)]
+                if m != j:
+                    merged[m] = merged.get(m, 0) + n
+        for m, n in merged.items():
+            links[m][new] = n
+            widths[m, new] = len(factors[m].vars) + len(f.vars) - 2 * n
     final, *rest = factors.values()
     for f in rest:               # disconnected remainder: tensor it together
         final = join(final, f, 0)

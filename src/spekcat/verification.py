@@ -143,16 +143,17 @@ def enumerate_closure(theory=SPEK) -> ClosureReport:
 
     By map-state duality these are the two scalars, the states on one leg
     and their converses as effects, and the states on two legs bent into
-    one-system maps; each hom set also holds its empty relation and is
-    sorted by text.
+    one-system maps, the first leg the input; each hom set also holds its
+    empty relation and is sorted by text.
     """
     states = enumerate_states(theory, 2)
     one = Space(2 if theory == HALFSPEK else 4, 1)
     hom = {(0, 0): [rel.scalar(False), rel.scalar(True)],
            (0, 1): [rel.empty(rel.I, one)] + states[1],
            (1, 0): [rel.empty(one, rel.I)] + [s.converse() for s in states[1]],
-           (1, 1): [rel.empty(one, one)] + [bend_state_to_map(s, 1)
-                                            for s in states[2]]}
+           (1, 1): [rel.empty(one, one)] + [
+               Relation(one, one, frozenset(((x,), (y,)) for _, (x, y)
+                                            in s.pairs)) for s in states[2]]}
     return ClosureReport(theory, {k: sorted(rs, key=lambda r: r.to_text())
                                   for k, rs in hom.items()})
 
@@ -221,14 +222,6 @@ def check_basis_structure(delta: Relation, eps: Relation) -> Dict[str, bool]:
     return laws
 
 
-def bend_state_to_map(state: Relation, split: int) -> Relation:
-    """Curry a state on m+n legs into a map with m inputs, via the cups."""
-    m = state.cod.arity - split
-    base = state.cod.base
-    pairs = frozenset((row[:m], row[m:]) for _, row in state.pairs)
-    return Relation(Space(base, m), Space(base, split), pairs)
-
-
 @dataclass(frozen=True)
 class DualityReport:
     n_states: int
@@ -238,19 +231,20 @@ class DualityReport:
 
 
 def check_map_state_duality(theory=SPEK) -> DualityReport:
-    """Bending two-leg states into one-system maps.
+    """The one-system maps, the two-leg states bent, as a dagger hom set.
 
-    ``bijective`` holds when no two states bend to the same map and the
-    maps, with the empty one, hold the identity and every one-system
-    generator and are closed under composition and converse, as the hom
-    set of a category with a dagger must be.  A map is held as the bitmask
-    of each input's images.
+    Reads the maps off ``enumerate_closure(theory).relations(1, 1)``: the
+    empty map and one bent map per two-leg state.  ``bijective`` holds when
+    no two of them are the same map, and the maps hold the identity and
+    every one-system generator and are closed under composition and
+    converse, as the hom set of a category with a dagger must be.  The
+    identity must occur once: the diagonal is the one state bent to it.  A
+    map is held as the bitmask of each input's images.
     """
-    states = enumerate_states(theory, 2)[2]
-    one = Space(2 if theory == HALFSPEK else 4, 1)
+    hom = enumerate_closure(theory).relations(1, 1)
+    one = hom[0].dom
     base = one.base
     index = {d: i for i, d in enumerate(one.digits())}
-    ident = rel.identity(one)
 
     def images(r):
         out = [0] * base
@@ -269,23 +263,19 @@ def check_map_state_duality(theory=SPEK) -> DualityReport:
         return tuple(sum(1 << x for x, img in enumerate(f) if img >> y & 1)
                      for y in range(base))
 
-    maps = {images(bend_state_to_map(s, 1)) for s in states}
-    homset = maps | {(0,) * base}
-    needed = {images(ident)} | {images(resolve(g))
-                                for g in generator_set(theory)
-                                if arity(g) == (1, 1)}
-    tables = [unions(g) for g in homset]
+    maps = [images(r) for r in hom]
+    homset = set(maps)
+    ident = images(rel.identity(one))
+    needed = {ident} | {images(resolve(g)) for g in generator_set(theory)
+                        if arity(g) == (1, 1)}
+    gets = [unions(g).__getitem__ for g in homset]
     closed = all(converse(f) in homset for f in homset) and all(
-        tuple(table[img] for img in f) in homset
-        for f in homset for table in tables)
-    diagonal = Relation(rel.I, Space(base, 2),
-                        frozenset(((), (t, t)) for (t,) in one.tuples()))
-    bent_to_ident = [s for s in states if bend_state_to_map(s, 1) == ident]
+        tuple(map(get, f)) in homset for get in gets for f in homset)
     return DualityReport(
-        n_states=len(states),
-        n_maps=len(maps),
-        bijective=len(maps) == len(states) and needed <= homset and closed,
-        identity_matches_diagonal=bent_to_ident == [diagonal],
+        n_states=len(hom) - 1,
+        n_maps=len(homset) - 1,
+        bijective=len(homset) == len(maps) and needed <= homset and closed,
+        identity_matches_diagonal=maps.count(ident) == 1,
     )
 
 

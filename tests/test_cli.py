@@ -306,7 +306,8 @@ def test_usage_errors_have_their_own_code(capsys):
     for argv in ([], ["nosuch"], ["enumerate", "--arity", "x"],
                  ["enumerate", "--arity", "0"],
                  ["verify", "--suite", "kbp", "--arity", "0"],
-                 ["verify", "--suite", "nosuch"], ["--format", "xml", "eval"]):
+                 ["verify", "--suite", "nosuch"], ["--format", "xml", "eval"],
+                 ["compare", "--random", "-3"]):
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_USAGE == 7, argv
         assert out == "" and "error:" in err

@@ -360,8 +360,14 @@ def test_schedule_matches_rescanning_reference(monkeypatch):
         return join(f1, f2)
 
     monkeypatch.setattr(dg, "_join", recording_join)
-    for seed in range(200):
-        d = cup_state(random_diagram(seed, max_boxes=12))
+    # random diagrams, and the benchmark's diagram families: fan has
+    # cycles, so joined factors come to share several wires
+    cases = [(seed, cup_state(random_diagram(seed, max_boxes=12)))
+             for seed in range(200)]
+    cases += [(n, dg.parse(build(n))) for build, ns in (
+        (chain_int, (16, 20, 24, 28)), (fan, (10, 11, 12)),
+        (chain, (9, 10, 11))) for n in ns]
+    for seed, d in cases:
         for schedule in (lambda: None, lambda: random.Random(seed)):
             joins.clear()
             dg.evaluate(d, rng=schedule())
