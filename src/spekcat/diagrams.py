@@ -100,6 +100,12 @@ class Diagram:
                     raise DiagramError("dangling port %s.%s" % (name, slot))
         return index
 
+    @cached_property
+    def state(self) -> "Diagram":
+        """This diagram with every input leg bent (``as_state``)."""
+        ins = [k for k, (_, dr) in enumerate(self.legs) if dr == "in"]
+        return _bend(self, ins) if ins else self
+
     @property
     def base_space(self) -> Space:
         return rel.II if self.theory == HALFSPEK else rel.IV
@@ -325,8 +331,7 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     in_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "in"]
     out_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "out"]
     base = d.base_space.base
-    dom = Space(base, len(in_pos)) if in_pos else rel.I
-    cod = Space(base, len(out_pos)) if out_pos else rel.I
+    dom, cod = Space(base, len(in_pos)), Space(base, len(out_pos))
     ins, outs = _projection(in_pos), _projection(out_pos)
     return Relation(dom, cod, frozenset((ins(r), outs(r))
                                         for r in final.rows))
@@ -442,18 +447,10 @@ def bend_leg(d: Diagram, leg_index: int) -> Diagram:
 def as_state(d: Diagram) -> Diagram:
     """Bend every input leg so the diagram denotes a state.
 
-    The result is kept on ``d``, as the port index is:
-    every field is immutable, so a later call bends nothing.
+    The result is the cached property ``Diagram.state``, kept on ``d`` as
+    the port index is, so a later call bends nothing.
     """
-    state = d.__dict__.get("_state")
-    if state is not None:
-        return state
-    ins = [k for k, (_, dr) in enumerate(d.legs) if dr == "in"]
-    if not ins:
-        return d
-    state = _bend(d, ins)
-    object.__setattr__(d, "_state", state)
-    return state
+    return d.state
 
 
 def sigma_normalize(d: Diagram) -> Diagram:
@@ -565,23 +562,15 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
         if ab in parent and bb in parent:
             parent[find(ab)] = find(bb)
 
-    roots = sorted({find(name) for name in phased})
+    # zones in the order they are met: external ones by their first leg,
+    # then internal ones by their first box; boxes and legs in their order
     comp_of = {name: find(name) for name in phased}
-    zone_boxes = {r: [] for r in roots}     # each in box order
-    for name, _ in nd.boxes:
-        if name in comp_of:
-            zone_boxes[comp_of[name]].append(name)
-
-    zone_legs = {r: [] for r in roots}
+    zone_boxes, zone_legs = {}, {}
+    for name in phased:
+        zone_boxes.setdefault(comp_of[name], []).append(name)
     for k, (port, _) in enumerate(nd.legs):
-        zone_legs[comp_of[port[0]]].append(k)
-
-    box_order = {name: i for i, (name, _) in enumerate(nd.boxes)}
-    external = sorted((r for r in roots if zone_legs[r]),
-                      key=lambda r: min(zone_legs[r]))
-    internal = sorted((r for r in roots if not zone_legs[r]),
-                      key=lambda r: box_order[zone_boxes[r][0]])
-    ordering = external + internal
+        zone_legs.setdefault(comp_of[port[0]], []).append(k)
+    ordering = list(dict.fromkeys([*zone_legs, *zone_boxes]))
     zone_index = {r: i for i, r in enumerate(ordering)}
 
     links = []
@@ -597,7 +586,7 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
             ends.append(zone_index[comp_of[kind[2][0]]])
         links.append(tuple(sorted(ends)))
 
-    zones = tuple(Zone(tuple(zone_boxes[r]), tuple(zone_legs[r]))
+    zones = tuple(Zone(tuple(zone_boxes[r]), tuple(zone_legs.get(r, ())))
                   for r in ordering)
     reorder = tuple(k for z in zones for k in z.legs)
     return ZoneDecomposition(nd, zones, tuple(links), reorder)

@@ -33,6 +33,14 @@ def rref(rows) -> List[int]:
     return sorted(reduced.values(), reverse=True)
 
 
+def span(vectors) -> List[int]:
+    """The sum of every subset of the vectors, the empty sum first."""
+    sums = [0]
+    for v in vectors:
+        sums += [s ^ v for s in sums]
+    return sums
+
+
 def solve(rows, rhs, ncols) -> Optional[Tuple[int, List[int]]]:
     """One solution of A x = b and a kernel basis of A, or None when A x = b
     has no solution.  The solutions are the particular one plus every sum

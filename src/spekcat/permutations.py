@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 from .relations import II, IV, Relation
@@ -38,21 +38,17 @@ class Permutation:
         inv = {self(x): x for x in self.elements()}
         return Permutation(self.base, tuple(inv[x] for x in self.elements()))
 
-    @property
+    @cached_property
     def is_phased(self) -> bool:
         """True iff the permutation preserves {1,2} and {3,4} setwise.
 
         Kept on the instance once computed (not a field: equality and hash
         stay those of the images).
         """
-        phased = self.__dict__.get("_phased")
-        if phased is None:
-            if self.base != 4:
-                raise ValueError("phased/unphased applies to the 4-element "
-                                 "carrier")
-            phased = {self(1), self(2)} == {1, 2}
-            object.__setattr__(self, "_phased", phased)
-        return phased
+        if self.base != 4:
+            raise ValueError("phased/unphased applies to the 4-element "
+                             "carrier")
+        return {self(1), self(2)} == {1, 2}
 
     def cycles(self):
         seen, out = set(), []
@@ -82,16 +78,16 @@ class Permutation:
         """The {1,2}- or {3,4}-component of a phased permutation, as a base-2 perm.
 
         Relabelling: side "12" reads 1->0, 2->1; side "34" reads 3->0, 4->1.
-        Both components are kept on the instance once computed.
         """
-        halves = self.__dict__.get("_halves")
-        if halves is None:
-            if not self.is_phased:
-                raise ValueError("%s is not phased" % self.name)
-            halves = {s: Permutation(2, (self(lo) - lo, self(lo + 1) - lo))
-                      for s, lo in (("12", 1), ("34", 3))}
-            object.__setattr__(self, "_halves", halves)
-        return halves[side]
+        return self._halves[side]
+
+    @cached_property
+    def _halves(self):
+        """Both components of ``half_restriction``, kept once computed."""
+        if not self.is_phased:
+            raise ValueError("%s is not phased" % self.name)
+        return {s: Permutation(2, (self(lo) - lo, self(lo + 1) - lo))
+                for s, lo in (("12", 1), ("34", 3))}
 
     def __str__(self):
         return self.name

@@ -146,9 +146,9 @@ class Relation:
             if not 1 <= k <= self.cod.arity:
                 raise IndexError("leg %d out of range for %s" % (k, self.cod))
         idx = [k - 1 for k in keep]
-        space = Space(self.cod.base, len(idx)) if idx else I
-        return Relation(I, space, frozenset(((), tuple(b[i] for i in idx))
-                                            for _, b in self.pairs))
+        return Relation(I, Space(self.cod.base, len(idx)),
+                        frozenset(((), tuple(b[i] for i in idx))
+                                  for _, b in self.pairs))
 
     def to_text(self) -> str:
         lines = ["REL %s -> %s" % (self.dom, self.cod)]

@@ -127,7 +127,6 @@ class StateForm:
         if n > ceiling:
             raise CapacityError("expanding %d legs exceeds the ceiling of %d"
                                 % (n, ceiling))
-        cod = Space(4, n) if n else rel.I
         tables = []
         start = 0
         for k in self.zone_legs:
@@ -139,7 +138,8 @@ class StateForm:
             for sig, _ in self.signatures)
         rows = map(tuple, map(methodcaller("to_bytes", n, "big"),
                               map(sum, combos)))
-        return Relation(rel.I, cod, frozenset(zip(itertools.repeat(()), rows)))
+        return Relation(rel.I, Space(4, n),
+                        frozenset(zip(itertools.repeat(()), rows)))
 
 
 def _zone_table(shifts):
@@ -237,9 +237,8 @@ def _form_of(zd: ZoneDecomposition) -> StateForm:
         if len(basis) > ceiling:
             raise CapacityError("a form of 2^%d signatures exceeds the "
                                 "ceiling of 2^%d" % (len(basis), ceiling))
-        image = [pack(particular)]
-        for v in basis:
-            image += [w ^ v for w in image]
+        shift = pack(particular)
+        image = [shift ^ w for w in gf2.span(basis)]
         count = 1 << (len(kernel) - len(basis))
         fmt = "0%db" % (2 * e)
         for w in sorted(image):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
@@ -40,14 +41,6 @@ class ClosureReport:
 # off its states.
 
 
-def _sums(vectors):
-    """The sum of every subset of the vectors (bitmasks)."""
-    sums = [0]
-    for v in vectors:
-        sums += [s ^ v for s in sums]
-    return sums
-
-
 def _isotropic(n, dims):
     """Each isotropic subspace of Z2^(2n) with a dimension in ``dims``, once,
     as reduced rows: per set of pivot columns, depth first, a row is its
@@ -69,7 +62,7 @@ def _isotropic(n, dims):
         for pivots in itertools.combinations(range(2 * n), k):
             yield from grow(
                 [[(1 << p) | s for s in
-                  _sums([1 << c for c in range(p) if c not in pivots])]
+                  gf2.span([1 << c for c in range(p) if c not in pivots])]
                  for p in pivots], [], [])
 
 
@@ -123,10 +116,10 @@ def enumerate_states(theory=SPEK, max_legs=3):
     indices = {}
     for n, rows in _row_spaces(theory, max_legs):
         _, kernel = gf2.solve(rows, [0] * len(rows), n * base // 2)
-        span = _sums(kernel)
+        span = gf2.span(kernel)
         indices.setdefault(n, []).extend(
             sorted(p ^ s for s in span)
-            for p in _sums([1 << (r.bit_length() - 1) for r in rows]))
+            for p in gf2.span([1 << (r.bit_length() - 1) for r in rows]))
     found = {}
     for n, states in indices.items():
         # every row has n digits, so sorted index lists sort as the texts
@@ -144,18 +137,20 @@ def enumerate_closure(theory=SPEK) -> ClosureReport:
     By map-state duality these are the two scalars, the states on one leg
     and their converses as effects, and the states on two legs bent into
     one-system maps, the first leg the input; each hom set also holds its
-    empty relation and is sorted by text.
+    empty relation.  Each is in text order as built: the states come
+    sorted by text, an effect or a bent state lists the same rows in the
+    same order, and "*" and every digit sort before the "∅" of the empty
+    relation.
     """
     states = enumerate_states(theory, 2)
     one = Space(2 if theory == HALFSPEK else 4, 1)
-    hom = {(0, 0): [rel.scalar(False), rel.scalar(True)],
-           (0, 1): [rel.empty(rel.I, one)] + states[1],
-           (1, 0): [rel.empty(one, rel.I)] + [s.converse() for s in states[1]],
-           (1, 1): [rel.empty(one, one)] + [
-               Relation(one, one, frozenset(((x,), (y,)) for _, (x, y)
-                                            in s.pairs)) for s in states[2]]}
-    return ClosureReport(theory, {k: sorted(rs, key=lambda r: r.to_text())
-                                  for k, rs in hom.items()})
+    return ClosureReport(theory, {
+        (0, 0): [rel.scalar(True), rel.scalar(False)],
+        (0, 1): states[1] + [rel.empty(rel.I, one)],
+        (1, 0): [s.converse() for s in states[1]] + [rel.empty(one, rel.I)],
+        (1, 1): [Relation(one, one, frozenset(((x,), (y,)) for _, (x, y)
+                                              in s.pairs))
+                 for s in states[2]] + [rel.empty(one, one)]})
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +174,22 @@ def _balanced(count, n):
 
 
 def check_kbp(state: Relation) -> KbpVerdict:
-    """Cardinality balance of a state and of every proper marginal."""
+    """Cardinality balance of a state and of every proper marginal.
+
+    A marginal's size is the number of distinct projections of the rows
+    onto its legs, counted without building the marginal.
+    """
     if state.dom != rel.I:
         raise ValueError("expected a state (domain the unit)")
     n = state.cod.arity
     count = len(state.pairs)
+    rows = [row for _, row in state.pairs]
     verdicts = []
-    legs = list(range(1, n + 1))
     for size in range(1, n):
-        for keep in itertools.combinations(legs, size):
-            sub = state.marginal(keep)
-            verdicts.append((keep, _balanced(len(sub.pairs), size)))
+        for idx in itertools.combinations(range(n), size):
+            seen = len(set(map(itemgetter(*idx), rows)))
+            verdicts.append((tuple(i + 1 for i in idx),
+                             _balanced(seen, size)))
     return KbpVerdict(state, _balanced(count, n), tuple(verdicts),
                       count == 1 << n)
 

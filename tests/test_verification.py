@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -109,6 +110,36 @@ def test_kbp_universality(spek_states_3, mspek_states_3):
         for n in states:
             for s in states[n]:
                 assert vf.check_kbp(s).ok
+
+
+def kbp_reference(state):
+    """``check_kbp`` by its definition: build each proper marginal with
+    ``Relation.marginal`` and read its size."""
+    n = state.cod.arity
+    count = len(state.pairs)
+    verdicts = tuple((keep, vf._balanced(len(state.marginal(keep).pairs),
+                                         size))
+                     for size in range(1, n)
+                     for keep in itertools.combinations(range(1, n + 1),
+                                                        size))
+    return vf.KbpVerdict(state, vf._balanced(count, n), verdicts,
+                         count == 1 << n)
+
+
+def test_kbp_counts_as_the_marginals_do():
+    states = [dg.evaluate(golden_diagram("ghz"))]
+    for theory in THEORIES:
+        for group in vf.enumerate_states(theory, 3).values():
+            states += group
+    rng = random.Random(14)
+    for n in range(4):
+        rows = list(Space(4, n).tuples())
+        states.append(as_state((), n))
+        states += [as_state(rng.sample(rows, rng.randint(0, len(rows))), n)
+                   for _ in range(500)]
+    verdicts = [vf.check_kbp(s) for s in states]
+    assert verdicts == [kbp_reference(s) for s in states]
+    assert any(v.ok for v in verdicts) and not all(v.ok for v in verdicts)
 
 
 def test_spek_cardinalities_exact(spek_states_3):
@@ -305,6 +336,14 @@ def enumeration_records():
 # (test_single_system_maps).  So are the 54 three-leg MSpek states of the
 # witness orbit, which the generator-based enumeration missed.
 ENUMERATION_DIGEST = "a4057a85b846ba9805f3319ac074d1f81dee1620b332af7c7f73fec920e8948c"
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_closure_hom_sets_are_sorted_by_text(theory):
+    rep = vf.enumerate_closure(theory)
+    assert sorted(rep.hom) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for key, hom in rep.hom.items():
+        assert hom == sorted(hom, key=Relation.to_text), key
 
 
 def test_state_enumeration_does_not_use_the_closure(monkeypatch):
