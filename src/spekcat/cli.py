@@ -244,6 +244,8 @@ def main(argv=None):
         parser.error("--arity must be at least 1")
     if getattr(args, "random", 0) < 0:
         parser.error("--random must be at least 0")
+    if args.command == "compare" and not (args.paths or args.random):
+        parser.error("compare needs a diagram file or --random COUNT")
     try:
         max_arity()
     except ValueError as exc:

@@ -21,9 +21,9 @@ from operator import itemgetter
 from typing import Dict, Tuple
 
 from . import relations as rel
-from .generators import (ARITIES, GeneratorId, HALFSPEK, MSPEK, SPEK,
+from .generators import (ARITIES, BASE, GeneratorId, HALFSPEK, MSPEK, SPEK,
                          parse_generator_name, resolve)
-from .permutations import SIGMA, sigma_decompose
+from .permutations import SIGMA, Z2_SWAP, sigma_decompose
 from .relations import CapacityError, Relation, Space, max_arity
 
 Port = Tuple[str, str]
@@ -105,10 +105,6 @@ class Diagram:
         """This diagram with every input leg bent (``as_state``)."""
         ins = [k for k, (_, dr) in enumerate(self.legs) if dr == "in"]
         return _bend(self, ins) if ins else self
-
-    @property
-    def base_space(self) -> Space:
-        return rel.II if self.theory == HALFSPEK else rel.IV
 
     def n_inputs(self):
         return sum(1 for _, d in self.legs if d == "in")
@@ -330,7 +326,7 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     pos = {v: i for i, v in enumerate(final.vars)}
     in_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "in"]
     out_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "out"]
-    base = d.base_space.base
+    base = BASE[d.theory]
     dom, cod = Space(base, len(in_pos)), Space(base, len(out_pos))
     ins, outs = _projection(in_pos), _projection(out_pos)
     return Relation(dom, cod, frozenset((ins(r), outs(r))
@@ -356,8 +352,7 @@ class _Builder:
     """Mutable companion of Diagram used by the rewriting passes.
 
     Every edit keeps the port index (as in ``Diagram.ports``) up to date, and
-    ``finish`` hands it to the new diagram.  A removed wire leaves a ``None``
-    hole until ``finish``, so the positions the index holds stay valid.
+    ``finish`` hands it to the new diagram.
     """
 
     def __init__(self, d: Diagram):
@@ -385,11 +380,6 @@ class _Builder:
         self.index[b] = ("wire", len(self.wires), a)
         self.wires.append((a, b))
 
-    def remove_wire(self, i):
-        for port in self.wires[i]:
-            del self.index[port]
-        self.wires[i] = None
-
     def reattach(self, port, new_port):
         """Move whatever was attached at ``port`` onto ``new_port``."""
         kind = self.index.pop(port)
@@ -404,18 +394,12 @@ class _Builder:
 
     def finish(self) -> Diagram:
         """The built diagram, holding the maintained index as its ports."""
-        wires, index = self.wires, self.index
-        if None in wires:                  # renumber past removed wires
-            wires = [w for w in wires if w is not None]
-            for i, (a, b) in enumerate(wires):
-                index[a] = ("wire", i, b)
-                index[b] = ("wire", i, a)
-        if index.keys() != {(name, s) for name, gen in self.box_map.items()
-                            for s in slots(gen)}:
+        if self.index.keys() != {(name, s) for name, gen
+                                 in self.box_map.items() for s in slots(gen)}:
             raise RuntimeError("port index is not one entry per box slot")
-        d = Diagram(self.theory, tuple(self.box_map.items()), tuple(wires),
-                    tuple(self.legs))
-        d.__dict__.update(box_map=self.box_map, ports=index)
+        d = Diagram(self.theory, tuple(self.box_map.items()),
+                    tuple(self.wires), tuple(self.legs))
+        d.__dict__.update(box_map=self.box_map, ports=self.index)
         return d
 
 
@@ -513,10 +497,22 @@ class Zone:
 
 @dataclass(frozen=True)
 class ZoneDecomposition:
+    """A Spek diagram split into phased zones linked by Sigma boxes.
+
+    ``parity`` holds one ``(mask, offset)`` per zone: with T the zones'
+    type bits, bit i for zone i, zone i's block parity is ``offset`` plus
+    the set bits of ``mask & T``, mod 2.  Restricted to the {1,2} plane
+    (type 0) or the {3,4} plane (type 1), a phased permutation is the
+    identity or the two-level swap; with f12 and f34 the parities of the
+    zone's swaps on each plane, the zone alone has parity
+    (1 + f12) + (f12 + f34) T_i, and each zone j linked to it an odd number
+    of times adds T_i + T_j.
+    """
     diagram: Diagram               # the Sigma-normalised diagram
     zones: Tuple[Zone, ...]
     links: Tuple[Tuple[int, int], ...]   # one (zone, zone) entry per Sigma box
     leg_reorder: Tuple[int, ...]   # canonical order: original leg indices
+    parity: Tuple[Tuple[int, int], ...]  # per zone: (mask, offset)
 
     @property
     def external_zones(self):
@@ -526,18 +522,12 @@ class ZoneDecomposition:
     def internal_zones(self):
         return tuple(i for i, z in enumerate(self.zones) if z.is_internal)
 
-    @cached_property
-    def _odd_links(self):
-        odd = {}
-        for a, b in self.links:
-            if a != b:
-                odd.setdefault(a, set()).symmetric_difference_update({b})
-                odd.setdefault(b, set()).symmetric_difference_update({a})
-        return odd
-
-    def adjacency(self, i):
-        """Zones linked to zone i an odd number of times (self-links drop out)."""
-        return set(self._odd_links.get(i, ()))
+def _swap_bits(gen: GeneratorId) -> int:
+    """Bit 0 (1): the box restricts to the swap on the {1,2} ({3,4}) plane."""
+    if gen.tag != "perm":
+        return 0
+    return ((gen.perm.half_restriction("12") == Z2_SWAP)
+            | (gen.perm.half_restriction("34") == Z2_SWAP) << 1)
 
 
 def zone_decompose(d: Diagram) -> ZoneDecomposition:
@@ -565,15 +555,18 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
     # zones in the order they are met: external ones by their first leg,
     # then internal ones by their first box; boxes and legs in their order
     comp_of = {name: find(name) for name in phased}
-    zone_boxes, zone_legs = {}, {}
+    zone_boxes, zone_legs, swaps = {}, {}, {}
     for name in phased:
-        zone_boxes.setdefault(comp_of[name], []).append(name)
+        root = comp_of[name]
+        zone_boxes.setdefault(root, []).append(name)
+        swaps[root] = swaps.get(root, 0) ^ _swap_bits(box_map[name])
     for k, (port, _) in enumerate(nd.legs):
         zone_legs.setdefault(comp_of[port[0]], []).append(k)
     ordering = list(dict.fromkeys([*zone_legs, *zone_boxes]))
     zone_index = {r: i for i, r in enumerate(ordering)}
 
     links = []
+    odd = [0] * len(ordering)      # zone -> the zones linked to it oddly often
     ports = nd.ports
     for name, gen in nd.boxes:
         if not _is_sigma(gen):
@@ -584,34 +577,19 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
             if kind[0] != "wire":
                 raise RuntimeError("Sigma box %s ends in an open leg" % name)
             ends.append(zone_index[comp_of[kind[2][0]]])
-        links.append(tuple(sorted(ends)))
+        a, b = sorted(ends)
+        links.append((a, b))
+        if a != b:
+            odd[a] ^= 1 << b
+            odd[b] ^= 1 << a
 
+    parity = []
+    for i, r in enumerate(ordering):
+        f12, f34 = swaps[r] & 1, swaps[r] >> 1
+        slope = (f12 ^ f34 ^ odd[i].bit_count()) & 1
+        parity.append((odd[i] | slope << i, 1 ^ f12))
     zones = tuple(Zone(tuple(zone_boxes[r]), tuple(zone_legs.get(r, ())))
                   for r in ordering)
     reorder = tuple(k for z in zones for k in z.legs)
-    return ZoneDecomposition(nd, zones, tuple(links), reorder)
+    return ZoneDecomposition(nd, zones, tuple(links), reorder, tuple(parity))
 
-
-def internalize_normal_form(d: Diagram) -> Diagram:
-    """Give every internal zone a delta leg capped by eps (same relation)."""
-    zd = zone_decompose(d)
-    b = _Builder(zd.diagram)
-    for i in zd.internal_zones:
-        # the zone's least wire, in the order of the wire tuples
-        touching = []
-        for name in zd.zones[i].boxes:
-            for slot in slots(b.box_map[name]):
-                kind = b.index[name, slot]
-                if kind[0] == "wire":
-                    touching.append(kind[1])
-        if not touching:
-            raise RuntimeError("internal zone %d touches no wire" % i)
-        target = min(touching, key=b.wires.__getitem__)
-        pa, pb = b.wires[target]
-        b.remove_wire(target)
-        dd = b.add_box("_nfd", GeneratorId("delta", SPEK))
-        cap = b.add_box("_nfe", GeneratorId("epsilon", SPEK))
-        b.add_wire(pa, (dd, "in"))
-        b.add_wire((dd, "1"), pb)
-        b.add_wire((dd, "2"), (cap, "in"))
-    return b.finish()

@@ -8,12 +8,14 @@ from typing import Optional, Tuple
 
 from . import relations as rel
 from .permutations import Permutation, perm_from_cycles
-from .relations import II, IV, I, Relation
+from .relations import I, Relation, Space
 
 SPEK = "spek"
 MSPEK = "mspek"
 HALFSPEK = "halfspek"
-THEORIES = (SPEK, MSPEK, HALFSPEK)
+# the size of a leg's carrier, the base of its Space, by theory
+BASE = {SPEK: 4, MSPEK: 4, HALFSPEK: 2}
+THEORIES = tuple(BASE)
 
 
 class TheoryError(ValueError):
@@ -36,8 +38,7 @@ class GeneratorId:
         if self.tag == "perm":
             if self.perm is None:
                 raise ValueError("perm generator needs a permutation")
-            want = 2 if self.theory == HALFSPEK else 4
-            if self.perm.base != want:
+            if self.perm.base != BASE[self.theory]:
                 raise TheoryError("permutation base %d does not fit theory %s"
                                   % (self.perm.base, self.theory))
         elif self.perm is not None:
@@ -45,7 +46,7 @@ class GeneratorId:
 
     @property
     def base_space(self):
-        return II if self.theory == HALFSPEK else IV
+        return Space(BASE[self.theory], 1)
 
     @property
     def name(self) -> str:
@@ -129,8 +130,8 @@ def parse_generator_name(text: str, theory: str = SPEK) -> GeneratorId:
     """
     text = text.strip()
     if text.startswith("perm(") and text.endswith(")"):
-        base = 2 if theory == HALFSPEK else 4
-        return GeneratorId("perm", theory, perm_from_cycles(text[5:-1], base))
+        return GeneratorId("perm", theory,
+                           perm_from_cycles(text[5:-1], BASE[theory]))
     if text not in _TAGS:
         raise ValueError("unknown generator name %r" % text)
     return GeneratorId(_TAGS[text], theory)

@@ -9,12 +9,13 @@ of four 2-element sets, labelled by a parity bit and a type bit:
 Type-12 parity counts occurrences of the value 2, type-34 parity counts
 occurrences of 4 (odd count = Odd).  The block calculus computes the full
 list of per-zone (parity, type) signatures of a diagram's state without
-evaluating the diagram, from zone profiles and the Sigma-link adjacency.
+evaluating the diagram, from the parity maps of its zone decomposition.
 
-Each zone's parity is an affine GF(2) function of the type bits.  The
-signatures are the image, under the external zones' (parity, type) map, of
-the type assignments that make every internal zone Even: 2^r signatures (r
-the map's rank on the kernel), each of multiplicity 2^(dim kernel - r).
+Each zone's parity is an affine GF(2) function of the type bits, the map
+``ZoneDecomposition.parity`` holds for it.  The signatures are the image,
+under the external zones' (parity, type) map, of the type assignments that
+make every internal zone Even: 2^r signatures (r the map's rank on the
+kernel), each of multiplicity 2^(dim kernel - r).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Tuple
 from . import gf2
 from . import relations as rel
 from .diagrams import Diagram, ZoneDecomposition, as_state, zone_decompose
-from .permutations import Z2_SWAP
 from .relations import CapacityError, Relation, Space, max_arity
 
 PARITY_NAMES = {0: "Odd", 1: "Even"}
@@ -35,27 +35,6 @@ TYPE_NAMES = {0: "12", 1: "34"}
 TYPE_VALUES = {0: (1, 2), 1: (3, 4)}
 PARITY_VALUE = {0: 2, 1: 4}      # the counted value per type
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def zone_profile(diagram: Diagram, boxes) -> Tuple[int, int]:
-    """Profile (psi(0), psi(1)) of a zone, by counting swap shadows.
-
-    Restricting a phased zone to the {1,2} plane (for type 0) or the {3,4}
-    plane (for type 1) turns each box into its two-level counterpart; the
-    phased permutations restrict to identity or to the two-level swap.  The
-    zone's parity offset for each type is set by the number of swaps, with
-    the swap-free zone sitting at parity Even.
-    """
-    box_map = diagram.box_map
-    psi = []
-    for side in ("12", "34"):
-        swaps = 0
-        for name in boxes:
-            gen = box_map[name]
-            if gen.tag == "perm" and gen.perm.half_restriction(side) == Z2_SWAP:
-                swaps += 1
-        psi.append((1 + swaps) % 2)
-    return tuple(psi)
 
 
 @dataclass(frozen=True)
@@ -177,42 +156,20 @@ def _zone_block(sig, n_legs):
     return out
 
 
-def _parity_maps(zd: ZoneDecomposition):
-    """Entry i is ``(mask, offset)``: zone i's parity is ``offset`` plus
-    the set bits of ``mask & T``, mod 2.  It is the profile psi_i(T_i) =
-    a + b T_i, flipped by T_i + T_j for each zone j linked to it oddly often.
-    Kept on ``zd``, which is immutable: one decomposition builds them once.
-    """
-    maps = zd.__dict__.get("_parity_maps")
-    if maps is not None:
-        return maps
-    maps = []
-    for i, z in enumerate(zd.zones):
-        a, a1 = zone_profile(zd.diagram, z.boxes)
-        adj = zd.adjacency(i)
-        mask = (((a ^ a1) + len(adj)) % 2) << i
-        for j in adj:
-            mask ^= 1 << j
-        maps.append((mask, a))
-    zd.__dict__["_parity_maps"] = maps = tuple(maps)
-    return maps
-
-
 def constraint_system(zd: ZoneDecomposition) -> ConstraintSystem:
     """One equation per internal zone: its block parity must come out Even.
 
     A leg-free zone survives contraction against the Even selection of the
-    counit, so the parity expression psi_i(T_i) + sum over linked zones j of
-    (T_i + T_j) is pinned to 1 for every internal zone i.
+    counit, so the parity map ``zd.parity[i]`` of every internal zone i is
+    pinned to 1.
     """
-    maps, internal = _parity_maps(zd), zd.internal_zones
+    maps, internal = zd.parity, zd.internal_zones
     return ConstraintSystem(len(zd.zones),
                             tuple(maps[i][0] for i in internal),
                             tuple(1 ^ maps[i][1] for i in internal))
 
 
 def _form_of(zd: ZoneDecomposition) -> StateForm:
-    maps = _parity_maps(zd)
     system = constraint_system(zd)
     external = zd.external_zones
     e = len(external)
@@ -222,7 +179,8 @@ def _form_of(zd: ZoneDecomposition) -> StateForm:
         particular, kernel = solved
         # a signature packed into 2e bits, the types above the parities, so
         # that packed values sort as the signatures do, by (types, parities)
-        outputs = [(1 << i, 0) for i in external] + [maps[i] for i in external]
+        outputs = ([(1 << i, 0) for i in external]
+                   + [zd.parity[i] for i in external])
 
         def pack(x):
             out = 0
@@ -288,7 +246,7 @@ def duplication_analysis(d: Diagram) -> DuplicationReport:
     zd = zone_decompose(as_state(d))
     system = constraint_system(zd)
     internal = zd.internal_zones
-    external = set(zd.external_zones)
+    external = sum(1 << i for i in zd.external_zones)
     if len(internal) > MAX_ACS_ZONES:
         raise CapacityError("cancelling-set search over %d internal zones "
                             "(limit %d)" % (len(internal), MAX_ACS_ZONES))
@@ -309,9 +267,7 @@ def duplication_analysis(d: Diagram) -> DuplicationReport:
         for combo in itertools.combinations(internal, size):
             cover = 0
             for i in combo:
-                for j in zd.adjacency(i):
-                    if j in external:
-                        cover ^= 1 << j
+                cover ^= zd.parity[i][0] & external
             if cover == 0 and not any(set(a) <= set(combo) for a in acs):
                 acs.append(combo)
     return DuplicationReport(

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 from . import gf2
 from . import relations as rel
 from .diagrams import Diagram, bend_leg, evaluate, parse
-from .generators import (HALFSPEK, MSPEK, SPEK, GeneratorId, arity,
-                         generator_set, resolve)
+from .generators import (BASE, HALFSPEK, MSPEK, SPEK, GeneratorId,
+                         arity, generator_set, resolve)
 from .permutations import Z2_SWAP
 from .relations import CapacityError, Relation, Space, max_arity
 
@@ -112,7 +112,7 @@ def enumerate_states(theory=SPEK, max_legs=3):
     pivots.  Returns a dict mapping the leg count to the list of states,
     sorted by text.
     """
-    base = 2 if theory == HALFSPEK else 4
+    base = BASE[theory]
     indices = {}
     for n, rows in _row_spaces(theory, max_legs):
         _, kernel = gf2.solve(rows, [0] * len(rows), n * base // 2)
@@ -143,7 +143,7 @@ def enumerate_closure(theory=SPEK) -> ClosureReport:
     relation.
     """
     states = enumerate_states(theory, 2)
-    one = Space(2 if theory == HALFSPEK else 4, 1)
+    one = Space(BASE[theory], 1)
     return ClosureReport(theory, {
         (0, 0): [rel.scalar(True), rel.scalar(False)],
         (0, 1): states[1] + [rel.empty(rel.I, one)],

@@ -1,5 +1,5 @@
 """Diagrams for the tests: the goldens, and Sigma-linked networks of
-phased zones as `.spekd` text.
+phased zones as `.spekd` text; and a reference for the zones' parity maps.
 
 Tests use the networks to build diagram families of a given size: each
 zone is a unit (eps+) followed by a comb of copies, so it is one phased
@@ -9,6 +9,7 @@ zone with as many open ports as asked for, and each link is one Sigma box.
 import os
 
 from spekcat import diagrams as dg
+from spekcat.permutations import Z2_SWAP
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -87,3 +88,44 @@ def chain(n):
     for i in range(n - 1):
         net.link(zones[i][-1], zones[i + 1][1])
     return net.text([z[0] for z in zones])
+
+
+def zone_profile(diagram, boxes):
+    """(psi(0), psi(1)) of a zone, by counting swap shadows: 1 plus the
+    number of its perm boxes that restrict to the two-level swap on the
+    {1,2} plane (type 0) or the {3,4} plane (type 1), mod 2."""
+    box_map = diagram.box_map
+    psi = []
+    for side in ("12", "34"):
+        swaps = 0
+        for name in boxes:
+            gen = box_map[name]
+            if gen.tag == "perm" and gen.perm.half_restriction(side) == Z2_SWAP:
+                swaps += 1
+        psi.append((1 + swaps) % 2)
+    return tuple(psi)
+
+
+def odd_adjacency(zd):
+    """Per zone, the zones linked to it an odd number of times, read off
+    ``zd.links`` (self-links drop out)."""
+    odd = [set() for _ in zd.zones]
+    for a, b in zd.links:
+        if a != b:
+            odd[a] ^= {b}
+            odd[b] ^= {a}
+    return odd
+
+
+def reference_parity(zd):
+    """Zone i's ``(mask, offset)``, from its boxes and the link list alone:
+    the profile psi_i(T_i) = a + (a + a1) T_i, flipped by T_i + T_j for each
+    zone j linked to it oddly often."""
+    maps = []
+    for i, (z, adj) in enumerate(zip(zd.zones, odd_adjacency(zd))):
+        a, a1 = zone_profile(zd.diagram, z.boxes)
+        mask = (((a ^ a1) + len(adj)) % 2) << i
+        for j in adj:
+            mask ^= 1 << j
+        maps.append((mask, a))
+    return tuple(maps)

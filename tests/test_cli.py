@@ -307,7 +307,7 @@ def test_usage_errors_have_their_own_code(capsys):
                  ["enumerate", "--arity", "0"],
                  ["verify", "--suite", "kbp", "--arity", "0"],
                  ["verify", "--suite", "nosuch"], ["--format", "xml", "eval"],
-                 ["compare", "--random", "-3"]):
+                 ["compare", "--random", "-3"], ["compare"]):
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_USAGE == 7, argv
         assert out == "" and "error:" in err

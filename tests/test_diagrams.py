@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nets import EMPTY_SCALAR, chain, chain_int, fan, golden_diagram
+from nets import (chain, chain_int, fan, golden_diagram, odd_adjacency,
+                  reference_parity)
 from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import signatures as sg
@@ -134,7 +135,7 @@ def test_handed_over_index_matches_rebuild():
     for d in rewrite_inputs():
         built = [dg.bend_leg(d, k) for k in range(len(d.legs))]
         built += [dg.as_state(d), dg.sigma_normalize(d),
-                  dg.zone_decompose(d).diagram, dg.internalize_normal_form(d)]
+                  dg.zone_decompose(d).diagram]
         for nd in built:
             fresh = dg.Diagram(nd.theory, nd.boxes, nd.wires, nd.legs)
             assert nd.ports == fresh.ports
@@ -218,24 +219,6 @@ def test_swap_boxes_dissolved():
     nd = dg.sigma_normalize(d)
     assert all(gen.tag != "swap" for _, gen in nd.boxes)
     assert dg.evaluate(nd) == dg.evaluate(d)
-
-
-def test_internalize_normal_form_preserves_value():
-    for d in (golden_diagram("triangle_internalized"),
-              dg.parse(EMPTY_SCALAR)):
-        nf = dg.internalize_normal_form(d)
-        assert dg.evaluate(nf) == dg.evaluate(d)
-
-
-def test_internalize_no_internal_zones_is_stable():
-    d = golden_diagram("triangle")
-    assert dg.evaluate(dg.internalize_normal_form(d)) == dg.evaluate(d)
-
-
-def test_delta_self_loop_normal_form():
-    src = ("box d: delta\nbox u: eps+\nwire u.1 d.in\nwire d.1 d.2\n")
-    d = dg.parse(src)
-    assert dg.evaluate(dg.internalize_normal_form(d)) == dg.evaluate(d)
 
 
 def test_box_wired_to_itself_once():
@@ -444,16 +427,15 @@ def bend_record(d):
 
 
 def normal_record(d):
-    """sigma_normalize, zone_decompose and internalize_normal_form applied
-    to d, each output as text."""
+    """sigma_normalize and zone_decompose applied to d, each output as
+    text."""
     def zones(zd):
-        adjacency = [sorted(zd.adjacency(i)) for i in range(len(zd.zones))]
+        adjacency = [sorted(adj) for adj in odd_adjacency(zd)]
         return repr((diagram_text(zd.diagram), zd.zones, zd.links,
                      zd.leg_reorder, adjacency))
 
     return run_passes([lambda: diagram_text(dg.sigma_normalize(d)),
-                       lambda: zones(dg.zone_decompose(d)),
-                       lambda: diagram_text(dg.internalize_normal_form(d))])
+                       lambda: zones(dg.zone_decompose(d))])
 
 
 def random_wiring(seed):
@@ -506,12 +488,13 @@ def rewrite_digest(record):
     return h.hexdigest()
 
 
-# sha256 of normal_record over rewrite_inputs, recorded from the passes that
-# rebuilt and checked the port index of every diagram they built:
-# sigma_normalize, zone_decompose and internalize_normal_form must give the
-# same diagrams, box names and orders, wire orientations, leg orders, zones
-# and links.
-NORMAL_DIGEST = "14ef97f0a985886d5d449b1175b50461eba2df3f0ce25390a594523f8f6b900b"
+# sha256 of normal_record over rewrite_inputs: sigma_normalize and
+# zone_decompose must give the same diagrams, box names and orders, wire
+# orientations, leg orders, zones and links.  Recorded from the passes as
+# they were before the decomposition computed its parity maps, when the odd
+# adjacency read off the links equalled the decomposition's own on every
+# input.
+NORMAL_DIGEST = "c3c7e942c49ea55154609fa460c72a5b3adde96d7efd173a38c9652004f00c94"
 
 # sha256 of bend_record over rewrite_inputs, recorded when bending became a
 # relabelling of the leg list; test_bending_gives_the_cup_relations vouches
@@ -522,6 +505,12 @@ BEND_DIGEST = "26b2d14d4db8bca862fd8957f08c890a37d6465d1f874e1803fd59a341f98030"
 def test_rewrites_match_pinned_digest():
     assert rewrite_digest(normal_record) == NORMAL_DIGEST
     assert rewrite_digest(bend_record) == BEND_DIGEST
+
+
+def test_parity_maps_match_the_profile_reference():
+    for d in rewrite_inputs():
+        zd = dg.zone_decompose(d)
+        assert zd.parity == reference_parity(zd)
 
 
 def test_evaluate_long_chain_matches_closed_form():

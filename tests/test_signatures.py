@@ -5,7 +5,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nets import EMPTY_SCALAR, chain, fan, golden_diagram
+from nets import (EMPTY_SCALAR, chain, fan, golden_diagram, odd_adjacency,
+                  zone_profile)
 from spekcat import diagrams as dg
 from spekcat import signatures as sg
 from spekcat.generate import random_diagram
@@ -33,7 +34,7 @@ INTERNALIZED_SIGNATURES = [
 
 def test_triangle_profiles_and_blocks():
     form, zd = sg.state_form(golden_diagram("triangle"))
-    profiles = [sg.zone_profile(zd.diagram, z.boxes) for z in zd.zones]
+    profiles = [zone_profile(zd.diagram, z.boxes) for z in zd.zones]
     assert profiles == [(0, 0), (0, 1), (1, 0)]
     assert sorted(form.signatures) == sorted(TRIANGLE_SIGNATURES)
     assert form.zone_legs == (2, 1, 2)
@@ -57,26 +58,6 @@ def test_internalized_signatures_and_constraint():
     assert len(form.expand().pairs) == 16
     system = sg.constraint_system(zd)
     assert system.to_text() == "T1 + T2 + T3 = 0"
-
-
-def test_parity_maps_are_built_once_per_decomposition(monkeypatch):
-    # `spekcat form` and duplication_analysis read the constraint system
-    # after the closed form of the same decomposition
-    profiled = []
-    profile = sg.zone_profile
-
-    def counting_profile(diagram, boxes):
-        profiled.append(boxes)
-        return profile(diagram, boxes)
-
-    monkeypatch.setattr(sg, "zone_profile", counting_profile)
-    d = golden_diagram("triangle_internalized")
-    _, zd = sg.state_form(d)
-    assert sg.constraint_system(zd).to_text() == "T1 + T2 + T3 = 0"
-    assert len(profiled) == len(zd.zones) == 3
-    profiled.clear()
-    assert sg.duplication_analysis(d).duplication_factor == 1
-    assert len(profiled) == 3
 
 
 def test_triangle_form_text_layout():
@@ -291,13 +272,14 @@ def tally_per_solution(d):
     make each internal zone's parity Even, and tally the external zones'
     (parity, type) pairs."""
     zd = dg.zone_decompose(dg.as_state(d))
-    profiles = [sg.zone_profile(zd.diagram, z.boxes) for z in zd.zones]
+    profiles = [zone_profile(zd.diagram, z.boxes) for z in zd.zones]
+    adjacency = odd_adjacency(zd)
 
     def zone_bits(i, assignment):
         a, a1 = profiles[i]
         t = (assignment >> i) & 1
         p = a ^ ((a ^ a1) & t)
-        for j in zd.adjacency(i):
+        for j in adjacency[i]:
             p ^= t ^ ((assignment >> j) & 1)
         return p, t
 
