@@ -111,9 +111,6 @@ def cmd_compare(args):
 
 
 def cmd_enumerate(args):
-    if args.arity > 4:
-        print("warning: arity %d enumeration may take a long time"
-              % args.arity, file=sys.stderr)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     for n, count in vf.count_states(args.theory, args.arity).items():

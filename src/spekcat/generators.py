@@ -128,6 +128,8 @@ def parse_generator_name(text: str, theory: str = SPEK) -> GeneratorId:
 
     Results are kept in a bounded cache: diagrams use few distinct names.
     """
+    if theory not in BASE:
+        raise TheoryError("unknown theory %r" % theory)
     text = text.strip()
     if text.startswith("perm(") and text.endswith(")"):
         return GeneratorId("perm", theory,

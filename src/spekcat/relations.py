@@ -26,8 +26,9 @@ class CompositionError(TypeError):
 def max_arity() -> int:
     """Largest allowed arity for any intermediate object.
 
-    SPEK_MAX_CELLS gives the ceiling as a cell count (base**arity); the
-    default guarantees objects up to arity 10 per side.
+    SPEK_MAX_CELLS gives the ceiling as a cell count: the largest arity
+    with 4**arity cells at most, for every theory, HalfSpek's base-2
+    carrier included.  Unset, the ceiling is arity 10 per side.
     """
     text = os.environ.get("SPEK_MAX_CELLS")
     if text is None:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import gf2
 from . import relations as rel
-from .diagrams import Diagram, bend_leg, evaluate, parse
+from .diagrams import Diagram, bend_leg, evaluate, parse, slots
 from .generators import (BASE, HALFSPEK, MSPEK, SPEK, GeneratorId,
                          arity, generator_set, resolve)
 from .permutations import Z2_SWAP
@@ -92,9 +92,17 @@ def _row_spaces(theory, max_legs):
             yield n, rows
 
 
+MAX_COUNTED_STATES = 10 ** 8      # the most states count_states walks
+
+
 def count_states(theory=SPEK, max_legs=3):
     """The number of states on each of 1..max_legs legs, without building
-    them: the rows of ``enumerate_states``, 2^k states on k rows."""
+    them: the rows of ``enumerate_states``, 2^k states on k rows.  Refuses
+    up front, by ``closed_form_counts``, more than MAX_COUNTED_STATES."""
+    total = sum(closed_form_counts(theory, max_legs).values())
+    if total > MAX_COUNTED_STATES:
+        raise CapacityError("%d %s states on up to %d legs exceed %d" % (
+            total, theory, max_legs, MAX_COUNTED_STATES))
     counts = dict.fromkeys(range(1, max_legs + 1), 0)
     for n, rows in _row_spaces(theory, max_legs):
         counts[n] += 1 << len(rows)
@@ -134,23 +142,21 @@ def enumerate_states(theory=SPEK, max_legs=3):
 def enumerate_closure(theory=SPEK) -> ClosureReport:
     """The relations with at most one input and one output leg.
 
-    By map-state duality these are the two scalars, the states on one leg
-    and their converses as effects, and the states on two legs bent into
-    one-system maps, the first leg the input; each hom set also holds its
-    empty relation.  Each is in text order as built: the states come
-    sorted by text, an effect or a bent state lists the same rows in the
-    same order, and "*" and every digit sort before the "∅" of the empty
-    relation.
+    By map-state duality hom(m, n) is the states on m + n legs bent, each
+    row split after its first m entries, plus the empty relation; the true
+    scalar is the one state on no legs.  Each is in text order as built:
+    the states come sorted by text, a bent state lists the same rows in
+    the same order, and "*" and every digit sort before the "∅" of the
+    empty relation.
     """
-    states = enumerate_states(theory, 2)
-    one = Space(BASE[theory], 1)
-    return ClosureReport(theory, {
-        (0, 0): [rel.scalar(True), rel.scalar(False)],
-        (0, 1): states[1] + [rel.empty(rel.I, one)],
-        (1, 0): [s.converse() for s in states[1]] + [rel.empty(one, rel.I)],
-        (1, 1): [Relation(one, one, frozenset(((x,), (y,)) for _, (x, y)
-                                              in s.pairs))
-                 for s in states[2]] + [rel.empty(one, one)]})
+    states = {0: [rel.scalar(True)], **enumerate_states(theory, 2)}
+    hom = {}
+    for m, n in itertools.product((0, 1), repeat=2):
+        dom, cod = Space(BASE[theory], m), Space(BASE[theory], n)
+        hom[m, n] = [Relation(dom, cod, frozenset((row[:m], row[m:])
+                                                  for _, row in s.pairs))
+                     for s in states[m + n]] + [rel.empty(dom, cod)]
+    return ClosureReport(theory, hom)
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +323,34 @@ def closed_form_counts(theory=SPEK, max_legs=3):
     return counts
 
 
+def _attach(d, legs, gen):
+    """d with a new box of ``gen``: its input slots take the legs at the
+    positions ``legs``, and its output slots are appended as new legs."""
+    name = "b%d" % len(d.boxes)
+    ports = [(name, s) for s in slots(gen)]
+    return Diagram(
+        d.theory, d.boxes + ((name, gen),),
+        d.wires + tuple((d.legs[k][0], p) for k, p in zip(legs, ports)),
+        tuple(lg for k, lg in enumerate(d.legs) if k not in legs)
+        + tuple((p, "out") for p in ports[len(legs):]))
+
+
 def halfspek_parity_sweep(max_boxes=5):
     """Exhaustively check the two-level parity law on connected diagrams.
 
     Builds every connected HalfSpek state diagram with up to ``max_boxes``
-    boxes by growing from the unit state (copying a leg, fusing two legs,
-    capping a leg, inserting the swap permutation on a leg) and checks that
-    the evaluated state is the full parity class fixed by the number of
-    swap boxes.  Closed diagrams must evaluate to the scalar matching that
-    parity.  Returns (diagrams checked, list of failures).
+    boxes by growing from the unit state, one move at a time: copying,
+    capping or inserting the swap permutation on one leg, or fusing two
+    legs.  Checks that the evaluated state is the full parity class fixed
+    by the number of swap boxes; closed diagrams must evaluate to the
+    scalar matching that parity.  Returns (diagrams checked, list of
+    failures).
     """
+    moves = [GeneratorId("delta", HALFSPEK), GeneratorId("epsilon", HALFSPEK),
+             GeneratorId("perm", HALFSPEK, Z2_SWAP),
+             GeneratorId("delta_dagger", HALFSPEK)]
     seed = parse("theory halfspek\nbox r: eps+\nout r.1\n")
-    queue = [(seed, 0)]
-    checked = 0
-    failures = []
+    queue, checked, failures = [(seed, 0)], 0, []
     while queue:
         d, swaps = queue.pop()
         n = len(d.legs)
@@ -342,31 +362,10 @@ def halfspek_parity_sweep(max_boxes=5):
             failures.append(d.to_source())
         if len(d.boxes) >= max_boxes:
             continue
-        for i in range(n):
-            port, _ = d.legs[i]
-            rest = [lg for k, lg in enumerate(d.legs) if k != i]
-            name = "b%d" % len(d.boxes)
-            for gen, new_out in (
-                    (GeneratorId("delta", HALFSPEK), ("1", "2")),
-                    (GeneratorId("epsilon", HALFSPEK), ()),
-                    (GeneratorId("perm", HALFSPEK, Z2_SWAP), ("1",))):
-                nd = Diagram(
-                    HALFSPEK,
-                    d.boxes + ((name, gen),),
-                    d.wires + ((port, (name, "in")),),
-                    tuple(rest) + tuple(((name, s), "out") for s in new_out))
-                queue.append((nd, swaps + (gen.tag == "perm")))
-        for i in range(n):
-            for j in range(i + 1, n):
-                name = "b%d" % len(d.boxes)
-                rest = [lg for k, lg in enumerate(d.legs) if k not in (i, j)]
-                nd = Diagram(
-                    HALFSPEK,
-                    d.boxes + ((name, GeneratorId("delta_dagger", HALFSPEK)),),
-                    d.wires + ((d.legs[i][0], (name, "in")),
-                               (d.legs[j][0], (name, "in2"))),
-                    tuple(rest) + (((name, "1"), "out"),))
-                queue.append((nd, swaps))
+        queue += [(_attach(d, legs, gen), swaps + (gen.tag == "perm"))
+                  for k in (1, 2)
+                  for legs in itertools.combinations(range(n), k)
+                  for gen in moves if arity(gen)[0] == k]
     return checked, failures
 
 

@@ -274,6 +274,22 @@ def test_enumerate_counts_without_building_states(capsys, monkeypatch):
     assert calls == [("mspek", 1)]
 
 
+def test_enumerate_refuses_what_it_cannot_count(capsys, monkeypatch):
+    monkeypatch.setattr(vf, "_row_spaces", None)    # no walk may start
+    for theory in ("spek", "mspek"):
+        code, out, err = run(capsys, "enumerate", "--theory", theory,
+                             "--arity", "6")
+        assert code == 2 and out == "", theory
+        assert err.startswith("error: ") and err.count("\n") == 1, theory
+
+
+def test_enumerate_has_no_arity_warning(capsys):
+    code, out, err = run(capsys, "enumerate", "--theory", "halfspek",
+                         "--arity", "5")
+    assert code == 0 and err == ""
+    assert "legs=5 states=454" in out.splitlines()
+
+
 def test_verify_kbp_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kbp", "--arity", "2")
     assert code == 0

@@ -118,6 +118,12 @@ def test_parse_generator_names():
         parse_generator_name("mystery", "spek")
 
 
+def test_unknown_theory_is_a_theory_error():
+    for name in ("perm((12))", "eps"):
+        with pytest.raises(TheoryError):
+            parse_generator_name(name, "quantum")
+
+
 def test_basis_structure_smoke():
     from spekcat.verification import check_basis_structure
     d = resolve(GeneratorId("delta", "spek"))

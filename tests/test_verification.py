@@ -10,7 +10,8 @@ from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import verification as vf
 from spekcat.generate import random_diagram
-from spekcat.generators import THEORIES, GeneratorId, generator_set, resolve
+from spekcat.generators import (BASE, THEORIES, GeneratorId, generator_set,
+                                resolve)
 from spekcat.permutations import s4
 from spekcat.relations import I, CapacityError, Relation, Space
 
@@ -224,9 +225,7 @@ def test_ghz_state_is_balanced():
 
 
 def test_halfspek_parity_sweep():
-    checked, failures = vf.halfspek_parity_sweep(5)
-    assert checked > 400
-    assert failures == []
+    assert vf.halfspek_parity_sweep(5) == (516, [])
 
 
 def test_halfspek_states():
@@ -346,6 +345,29 @@ def test_closure_hom_sets_are_sorted_by_text(theory):
         assert hom == sorted(hom, key=Relation.to_text), key
 
 
+def four_case_closure(theory):
+    """The one-leg hom sets written out case by case: the two scalars, the
+    one-leg states and their converses, the two-leg states bent."""
+    states = vf.enumerate_states(theory, 2)
+    one = Space(BASE[theory], 1)
+    return {
+        (0, 0): [rel.scalar(True), rel.scalar(False)],
+        (0, 1): states[1] + [rel.empty(I, one)],
+        (1, 0): [s.converse() for s in states[1]] + [rel.empty(one, I)],
+        (1, 1): [Relation(one, one, frozenset(((x,), (y,)) for _, (x, y)
+                                              in s.pairs))
+                 for s in states[2]] + [rel.empty(one, one)]}
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_closure_matches_the_four_case_reference(theory):
+    hom = vf.enumerate_closure(theory).hom
+    want = four_case_closure(theory)
+    assert list(hom) == list(want)
+    for key in want:
+        assert hom[key] == want[key], key
+
+
 def test_state_enumeration_does_not_use_the_closure(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerate_states called enumerate_closure")
@@ -361,6 +383,31 @@ def test_state_enumeration_needs_a_leg():
     for max_legs in (0, -1):
         with pytest.raises(ValueError):
             vf.enumerate_states("spek", max_legs)
+
+
+def test_counting_refuses_above_the_state_bound(monkeypatch):
+    def total(theory, legs):
+        return sum(vf.closed_form_counts(theory, legs).values())
+
+    def walk(*args):
+        raise AssertionError("count_states walked before refusing")
+
+    assert vf.MAX_COUNTED_STATES == 10 ** 8
+    assert [total("mspek", 5), total("spek", 5), total("halfspek", 10)] == \
+        [21708683, 2461386, 5130120]
+    assert [total("spek", 6), total("mspek", 6)] == [317518986, 7475789214]
+    assert sum(vf.count_states("halfspek", 10).values()) == 5130120
+    with monkeypatch.context() as mp:
+        mp.setattr(vf, "_row_spaces", walk)
+        for theory in ("spek", "mspek"):
+            with pytest.raises(CapacityError):
+                vf.count_states(theory, 6)
+    monkeypatch.setattr(vf, "MAX_COUNTED_STATES", total("spek", 3))
+    assert vf.count_states("spek", 3) == {1: 6, 2: 60, 3: 1080}
+    monkeypatch.setattr(vf, "_row_spaces", walk)
+    monkeypatch.setattr(vf, "MAX_COUNTED_STATES", total("spek", 3) - 1)
+    with pytest.raises(CapacityError):
+        vf.count_states("spek", 3)
 
 
 def test_enumerations_match_pinned_digest():
