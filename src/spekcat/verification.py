@@ -78,31 +78,31 @@ def _partitions(n):
         yield blocks + [leg]
 
 
+MAX_STATES = 10 ** 8   # the most states the row spaces may stand for
+
+
 def _row_spaces(theory, max_legs):
     """(n, the reduced rows A) for each space {x : Ax = c} of n-leg states:
     an isotropic subspace, Lagrangian for Spek, or for HalfSpek the blocks
-    of a partition of the legs."""
+    of a partition of the legs.  Refuses up front more legs than
+    ``max_arity()`` or more than MAX_STATES states by the closed form."""
     if max_legs < 1:
         raise ValueError("max_legs must be at least 1")
     if max_legs > max_arity():
         raise CapacityError("%d legs exceed the arity ceiling" % max_legs)
+    total = sum(closed_form_counts(theory, max_legs).values())
+    if total > MAX_STATES:
+        raise CapacityError("%d %s states on up to %d legs exceed %d" % (
+            total, theory, max_legs, MAX_STATES))
     for n in range(1, max_legs + 1):
         for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
                 n, (n,) if theory == SPEK else range(n + 1))):
             yield n, rows
 
 
-MAX_COUNTED_STATES = 10 ** 8      # the most states count_states walks
-
-
 def count_states(theory=SPEK, max_legs=3):
     """The number of states on each of 1..max_legs legs, without building
-    them: the rows of ``enumerate_states``, 2^k states on k rows.  Refuses
-    up front, by ``closed_form_counts``, more than MAX_COUNTED_STATES."""
-    total = sum(closed_form_counts(theory, max_legs).values())
-    if total > MAX_COUNTED_STATES:
-        raise CapacityError("%d %s states on up to %d legs exceed %d" % (
-            total, theory, max_legs, MAX_COUNTED_STATES))
+    them: the rows of ``enumerate_states``, 2^k states on k rows."""
     counts = dict.fromkeys(range(1, max_legs + 1), 0)
     for n, rows in _row_spaces(theory, max_legs):
         counts[n] += 1 << len(rows)

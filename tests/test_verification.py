@@ -390,24 +390,28 @@ def test_counting_refuses_above_the_state_bound(monkeypatch):
         return sum(vf.closed_form_counts(theory, legs).values())
 
     def walk(*args):
-        raise AssertionError("count_states walked before refusing")
+        raise AssertionError("a walk started before the refusal")
 
-    assert vf.MAX_COUNTED_STATES == 10 ** 8
     assert [total("mspek", 5), total("spek", 5), total("halfspek", 10)] == \
         [21708683, 2461386, 5130120]
     assert [total("spek", 6), total("mspek", 6)] == [317518986, 7475789214]
     assert sum(vf.count_states("halfspek", 10).values()) == 5130120
     with monkeypatch.context() as mp:
-        mp.setattr(vf, "_row_spaces", walk)
+        mp.setattr(vf, "_isotropic", walk)
         for theory in ("spek", "mspek"):
             with pytest.raises(CapacityError):
                 vf.count_states(theory, 6)
-    monkeypatch.setattr(vf, "MAX_COUNTED_STATES", total("spek", 3))
+            with pytest.raises(CapacityError):
+                vf.enumerate_states(theory, 6)
+    monkeypatch.setattr(vf, "MAX_STATES", total("spek", 3))
     assert vf.count_states("spek", 3) == {1: 6, 2: 60, 3: 1080}
-    monkeypatch.setattr(vf, "_row_spaces", walk)
-    monkeypatch.setattr(vf, "MAX_COUNTED_STATES", total("spek", 3) - 1)
+    monkeypatch.setattr(vf, "_isotropic", walk)
+    monkeypatch.setattr(vf, "MAX_STATES", total("spek", 3) - 1)
     with pytest.raises(CapacityError):
         vf.count_states("spek", 3)
+    monkeypatch.setattr(vf, "closed_form_counts", walk)
+    with pytest.raises(CapacityError):      # the ceiling comes first
+        vf.count_states("spek", 10 ** 6)
 
 
 def test_enumerations_match_pinned_digest():
