@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 
 from . import diagrams as dg
@@ -68,17 +69,17 @@ def cmd_eval(args):
 
 
 def cmd_form(args):
-    form, zd = sg.state_form(_read_spek_diagram(args.path))
-    system = sg.constraint_system(zd)
+    form, _ = sg.state_form(_read_spek_diagram(args.path))
+    lines = list(filter(None, form.system.to_text().splitlines()))
     if args.format == "jsonl":
         for sig, count in form.signatures:
             print(json.dumps({"signature": [[p, t] for p, t in sig],
                               "count": count}))
-        for line in filter(None, system.to_text().splitlines()):
+        for line in lines:
             print(json.dumps({"constraint": line}))
     else:
         print(form.to_text(), end="")
-        for line in filter(None, system.to_text().splitlines()):
+        for line in lines:
             print("constraint %s" % line)
     return 0
 
@@ -111,28 +112,39 @@ def cmd_compare(args):
 
 
 def cmd_enumerate(args):
+    made = None         # the outermost directory this run creates
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    for n, count in vf.count_states(args.theory, args.arity).items():
-        if args.format == "jsonl":
-            print(json.dumps({"legs": n, "states": count}))
-        else:
-            print("legs=%d states=%d" % (n, count))
-        if n == 1:
-            for s in vf.enumerate_states(args.theory, 1)[1]:
-                row = sorted(t[0] for _, t in s.pairs)
-                if args.format == "jsonl":
-                    print(json.dumps({"state": row}))
-                else:
-                    print("  {%s}" % ",".join(str(v) for v in row))
-    if args.out:
-        report = vf.enumerate_closure(args.theory)
-        for (m, n), hom in sorted(report.hom.items()):
-            path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(r.to_text() for r in hom)
-        print("closure report written to %s" % args.out)
-    return 0
+        head = os.path.abspath(args.out)
+        while not os.path.lexists(head):
+            made, head = head, os.path.dirname(head)
+    try:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+        for n, count in vf.count_states(args.theory, args.arity).items():
+            if args.format == "jsonl":
+                print(json.dumps({"legs": n, "states": count}))
+            else:
+                print("legs=%d states=%d" % (n, count))
+            if n == 1:
+                for s in vf.enumerate_states(args.theory, 1)[1]:
+                    row = sorted(t[0] for _, t in s.pairs)
+                    if args.format == "jsonl":
+                        print(json.dumps({"state": row}))
+                    else:
+                        print("  {%s}" % ",".join(str(v) for v in row))
+        if args.out:
+            report = vf.enumerate_closure(args.theory)
+            for (m, n), hom in sorted(report.hom.items()):
+                path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.writelines(r.to_text() for r in hom)
+            print("closure report written to %s" % args.out)
+        return 0
+    except BaseException:
+        # a refused or failed run leaves none of the directories it made
+        if made:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def _verify_lines(suites, arity):

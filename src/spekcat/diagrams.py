@@ -106,12 +106,6 @@ class Diagram:
         ins = [k for k, (_, dr) in enumerate(self.legs) if dr == "in"]
         return _bend(self, ins) if ins else self
 
-    def n_inputs(self):
-        return sum(1 for _, d in self.legs if d == "in")
-
-    def n_outputs(self):
-        return sum(1 for _, d in self.legs if d == "out")
-
     def validate(self):
         """Check the diagram (by building its port index) and return it."""
         self.ports

@@ -9,11 +9,11 @@ from .generators import HALFSPEK, SPEK, GeneratorId
 from .permutations import s4, z2
 
 
-def random_diagram(seed, theory=SPEK, max_boxes=8, max_legs=5) -> Diagram:
+def random_diagram(seed, theory=SPEK, max_boxes=8) -> Diagram:
     """A small random diagram; the same seed always gives the same diagram.
 
     Boxes are drawn from the theory's generators, ports are paired into
-    wires at random, and a bounded number of ports are left open as legs.
+    wires at random, and at most five ports are left open as legs.
     """
     rng = random.Random(seed)
     perms = sorted(s4() if theory != HALFSPEK else z2(), key=lambda p: p.name)
@@ -30,7 +30,7 @@ def random_diagram(seed, theory=SPEK, max_boxes=8, max_legs=5) -> Diagram:
 
     ports = [(name, s) for name, gen in boxes for s in slots(gen)]
     rng.shuffle(ports)
-    n_legs = min(rng.randint(0, max_legs), len(ports))
+    n_legs = min(rng.randint(0, 5), len(ports))
     if (len(ports) - n_legs) % 2:
         n_legs += 1 if n_legs < len(ports) else -1
     leg_ports, rest = ports[:n_legs], ports[n_legs:]

@@ -48,10 +48,6 @@ class ConstraintSystem:
     def rank(self):
         return len(gf2.rref(self.rows))
 
-    @property
-    def consistent(self):
-        return gf2.solve(self.rows, self.rhs, self.n_vars) is not None
-
     def to_text(self) -> str:
         lines = []
         for row, b in zip(self.rows, self.rhs):
@@ -69,19 +65,17 @@ class StateForm:
     ``signatures`` pairs each distinct per-zone (parity, type) tuple with its
     multiplicity.  ``zone_legs`` gives the leg count of each external zone and
     ``leg_order`` maps canonical leg positions back to the source diagram's
-    leg indices.
+    leg indices.  ``system`` holds the equations the signatures solve; when
+    they have no solution the form lists no signature.
     """
     zone_legs: Tuple[int, ...]
     signatures: Tuple[Tuple[Tuple[Tuple[int, int], ...], int], ...]
     leg_order: Tuple[int, ...]
+    system: ConstraintSystem
 
     @property
     def n_legs(self):
         return sum(self.zone_legs)
-
-    @property
-    def is_empty(self):
-        return not self.signatures
 
     def to_text(self) -> str:
         if not self.signatures:
@@ -156,22 +150,21 @@ def _zone_block(sig, n_legs):
     return out
 
 
-def constraint_system(zd: ZoneDecomposition) -> ConstraintSystem:
-    """One equation per internal zone: its block parity must come out Even.
+def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
+    """Closed-form block description of the state a Spek diagram denotes.
 
-    A leg-free zone survives contraction against the Even selection of the
-    counit, so the parity map ``zd.parity[i]`` of every internal zone i is
-    pinned to 1.
+    Input legs are first bent to outputs, so the form always describes the
+    diagram's state under map-state duality.  Its system has one equation
+    per internal zone: a leg-free zone survives contraction against the
+    Even selection of the counit, so its parity map is pinned to 1.  Of the
+    form's 2^rank signatures none is listed when the rank exceeds twice
+    ``max_arity()`` (``CapacityError``).
     """
-    maps, internal = zd.parity, zd.internal_zones
-    return ConstraintSystem(len(zd.zones),
-                            tuple(maps[i][0] for i in internal),
-                            tuple(1 ^ maps[i][1] for i in internal))
-
-
-def _form_of(zd: ZoneDecomposition) -> StateForm:
-    system = constraint_system(zd)
-    external = zd.external_zones
+    zd = zone_decompose(as_state(d))
+    maps, internal, external = zd.parity, zd.internal_zones, zd.external_zones
+    system = ConstraintSystem(len(zd.zones),
+                              tuple(maps[i][0] for i in internal),
+                              tuple(1 ^ maps[i][1] for i in internal))
     e = len(external)
     signatures = []
     solved = gf2.solve(system.rows, system.rhs, system.n_vars)
@@ -179,8 +172,7 @@ def _form_of(zd: ZoneDecomposition) -> StateForm:
         particular, kernel = solved
         # a signature packed into 2e bits, the types above the parities, so
         # that packed values sort as the signatures do, by (types, parities)
-        outputs = ([(1 << i, 0) for i in external]
-                   + [zd.parity[i] for i in external])
+        outputs = [(1 << i, 0) for i in external] + [maps[i] for i in external]
 
         def pack(x):
             out = 0
@@ -206,19 +198,8 @@ def _form_of(zd: ZoneDecomposition) -> StateForm:
         zone_legs=tuple(len(zd.zones[i].legs) for i in external),
         signatures=tuple(signatures),
         leg_order=zd.leg_reorder,
-    )
-
-
-def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
-    """Closed-form block description of the state a Spek diagram denotes.
-
-    Input legs are first bent to outputs, so the form always describes the
-    diagram's state under map-state duality.  Of its 2^rank signatures none
-    is listed when the rank exceeds twice ``max_arity()`` (``CapacityError``).
-    """
-    d = as_state(d)
-    zd = zone_decompose(d)
-    return _form_of(zd), zd
+        system=system,
+    ), zd
 
 
 @dataclass(frozen=True)
@@ -243,15 +224,14 @@ MAX_ACS_ZONES = 16              # the witness search tries every subset
 
 
 def duplication_analysis(d: Diagram) -> DuplicationReport:
-    zd = zone_decompose(as_state(d))
-    system = constraint_system(zd)
+    form, zd = state_form(d)
+    system = form.system
     internal = zd.internal_zones
     external = sum(1 << i for i in zd.external_zones)
     if len(internal) > MAX_ACS_ZONES:
         raise CapacityError("cancelling-set search over %d internal zones "
                             "(limit %d)" % (len(internal), MAX_ACS_ZONES))
 
-    form = _form_of(zd)
     counts = {count for _, count in form.signatures}
     if len(counts) > 1:
         raise RuntimeError("signature multiplicities are not uniform: %s"

@@ -32,9 +32,6 @@ class ClosureReport:
     def relations(self, m, n):
         return self.hom.get((m, n), [])
 
-    def states(self, n):
-        return [r for r in self.relations(0, n) if r.pairs]
-
 
 # ---------------------------------------------------------------------------
 # State enumeration in the phase-space model, and the one-leg hom sets read

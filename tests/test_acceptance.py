@@ -56,11 +56,10 @@ def test_criterion_02_three_zone_state_form(capsys):
 
 def test_criterion_03_internalized_constraint(capsys):
     d = golden_diagram("triangle_internalized")
-    form, zd = sg.state_form(d)
+    form, _ = sg.state_form(d)
     assert len(form.signatures) == 4
     assert len(form.expand().pairs) == 16
-    system = sg.constraint_system(zd)
-    assert "T1 + T2 + T3 = 0" in system.to_text()
+    assert "T1 + T2 + T3 = 0" in form.system.to_text()
     code, out = run_cli(
         capsys, "form",
         os.path.join(GOLDEN, "triangle_internalized.spekd"))

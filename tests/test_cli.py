@@ -137,7 +137,8 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
     def corrupted(d):
         form, zd = real(d)
         return (form.__class__(form.zone_legs, form.signatures[:-1] or
-                               form.signatures, form.leg_order), zd)
+                               form.signatures, form.leg_order,
+                               form.system), zd)
 
     monkeypatch.setattr(cli.sg, "state_form", corrupted)
     code, out, _ = run(capsys, "compare", golden("triangle.spekd"))
@@ -286,6 +287,67 @@ def test_enumerate_refuses_what_it_cannot_count(capsys, monkeypatch):
                              "--arity", arity)
         assert code == 2 and out == "", (theory, arity)
         assert err.startswith("error: ") and err.count("\n") == 1, arity
+
+
+def test_enumerate_refused_leaves_no_new_directory(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(vf, "_isotropic", None)     # no walk may start
+    old = tmp_path / "old"
+    old.mkdir()
+    for out_dir in (tmp_path / "new" / "sub", old / "sub", old):
+        code, out, _ = run(capsys, "enumerate", "--theory", "mspek",
+                           "--arity", "6", "--out", str(out_dir))
+        assert code == 2 and out == "", out_dir
+    assert os.listdir(tmp_path) == ["old"] and os.listdir(old) == []
+
+
+VERIFY_ALL_3 = """\
+PASS laws.spek.coassociativity
+PASS laws.spek.cocommutativity
+PASS laws.spek.counit-left
+PASS laws.spek.counit-right
+PASS laws.spek.isometry
+PASS laws.spek.frobenius
+PASS laws.spek.snake-left
+PASS laws.spek.snake-right
+PASS laws.halfspek.coassociativity
+PASS laws.halfspek.cocommutativity
+PASS laws.halfspek.counit-left
+PASS laws.halfspek.counit-right
+PASS laws.halfspek.isometry
+PASS laws.halfspek.frobenius
+PASS laws.halfspek.snake-left
+PASS laws.halfspek.snake-right
+PASS laws.bottom-not-counit
+PASS laws.ghz-delta
+PASS kbp.spek 1146/1146 states balanced
+PASS kbp.mspek 2565/2565 states balanced
+PASS cardinality.spek-exact {1: [2], 2: [4], 3: [8]}
+PASS cardinality.mspek-range {1: [2, 4], 2: [4, 8, 16], 3: [8, 16, 32, 64]}
+PASS cardinality.spek-count {1: 6, 2: 60, 3: 1080}
+PASS cardinality.mspek-count {1: 7, 2: 91, 3: 2467}
+PASS cardinality.halfspek-count {1: 2, 2: 6, 3: 22}
+PASS duality.spek.bijective 60 states, 60 maps
+PASS duality.spek.identity-diagonal
+PASS duality.mspek.bijective 91 states, 91 maps
+PASS duality.mspek.identity-diagonal
+PASS duality.halfspek.bijective 6 states, 6 maps
+PASS duality.halfspek.identity-diagonal
+"""
+
+
+def test_verify_all_transcript(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--arity", "3")
+    assert code == 0 and out == VERIFY_ALL_3
+    code, out, _ = run(capsys, "--format", "jsonl", "verify",
+                       "--suite", "all", "--arity", "3")
+    got = [(r["check"], r["status"], r["detail"])
+           for r in map(json.loads, out.splitlines())]
+    want = []
+    for line in VERIFY_ALL_3.splitlines():
+        status, name, detail = (line.split(" ", 2) + [""])[:3]
+        want.append((name, status, detail))
+    assert code == 0 and got == want
 
 
 def test_verify_kbp_small(capsys):

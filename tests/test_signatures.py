@@ -53,11 +53,10 @@ def test_triangle_expansion_block_combinatorics():
 
 
 def test_internalized_signatures_and_constraint():
-    form, zd = sg.state_form(golden_diagram("triangle_internalized"))
+    form, _ = sg.state_form(golden_diagram("triangle_internalized"))
     assert sorted(form.signatures) == sorted(INTERNALIZED_SIGNATURES)
     assert len(form.expand().pairs) == 16
-    system = sg.constraint_system(zd)
-    assert system.to_text() == "T1 + T2 + T3 = 0"
+    assert form.system.to_text() == "T1 + T2 + T3 = 0"
 
 
 def test_triangle_form_text_layout():
@@ -80,15 +79,15 @@ def test_forms_match_brute_force_on_worked_examples():
 
 def test_inconsistent_constraints_give_empty():
     d = dg.parse(EMPTY_SCALAR)
-    form, zd = sg.state_form(d)
-    assert not sg.constraint_system(zd).consistent
-    assert form.is_empty and form.to_text() == "EMPTY\n"
+    form, _ = sg.state_form(d)
+    assert form.system.rows and form.signatures == ()
+    assert form.to_text() == "EMPTY\n"
     assert not form.expand().pairs
     assert not dg.evaluate(d).pairs
 
     d2 = golden_diagram("empty_state")
     form2, _ = sg.state_form(d2)
-    assert form2.is_empty and not dg.evaluate(d2).pairs
+    assert form2.signatures == () and not dg.evaluate(d2).pairs
 
 
 def test_phased_form_of_diagonal():
@@ -164,7 +163,7 @@ def test_duplication_invariants_raise(monkeypatch):
     doubled = tuple((sig, 2 * n) for sig, n in form.signatures)
     for bad in (uneven, doubled):
         bad_form = dataclasses.replace(form, signatures=bad)
-        monkeypatch.setattr(sg, "_form_of", lambda _: bad_form)
+        monkeypatch.setattr(sg, "state_form", lambda _: (bad_form, zd))
         with pytest.raises(RuntimeError):
             sg.duplication_analysis(d)
 
@@ -232,6 +231,9 @@ def reference_expand(form):
     return Relation(rel.I, Space(4, n) if n else rel.I, frozenset(pairs))
 
 
+NO_EQUATIONS = sg.ConstraintSystem(0, (), ())
+
+
 @st.composite
 def state_forms(draw):
     """Any form: 0-4 zones of 0-3 legs, any leg order, and a signature list
@@ -251,7 +253,8 @@ def state_forms(draw):
     sigs = draw(st.permutations(sigs))
     counts = draw(st.lists(st.integers(1, 4), min_size=len(sigs),
                            max_size=len(sigs)))
-    return sg.StateForm(zone_legs, tuple(zip(sigs, counts)), leg_order)
+    return sg.StateForm(zone_legs, tuple(zip(sigs, counts)), leg_order,
+                        NO_EQUATIONS)
 
 
 @settings(max_examples=400, deadline=None)
@@ -261,10 +264,10 @@ def test_expand_matches_reference_expansion(form):
 
 
 def test_expand_of_zero_leg_forms():
-    unit = sg.StateForm((), (((), 1),), ())
+    unit = sg.StateForm((), (((), 1),), (), NO_EQUATIONS)
     assert unit.expand() == reference_expand(unit)
     assert unit.expand().pairs == frozenset({((), ())})
-    assert not sg.StateForm((), (), ()).expand().pairs
+    assert not sg.StateForm((), (), (), NO_EQUATIONS).expand().pairs
 
 
 def tally_per_solution(d):

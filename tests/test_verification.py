@@ -21,14 +21,14 @@ def as_state(rows, n):
 
 
 def test_spek_single_system_states(spek_closure_1):
-    states = spek_closure_1.states(1)
-    got = sorted(sorted(t[0] for _, t in s.pairs) for s in states)
+    states = spek_closure_1.relations(0, 1)
+    got = sorted(sorted(t[0] for _, t in s.pairs) for s in states if s.pairs)
     assert got == [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
 
 
 def test_mspek_single_system_states():
     rep = vf.enumerate_closure("mspek")
-    sizes = sorted(len(s.pairs) for s in rep.states(1))
+    sizes = sorted(len(s.pairs) for s in rep.relations(0, 1) if s.pairs)
     assert sizes == [2, 2, 2, 2, 2, 2, 4]
 
 
