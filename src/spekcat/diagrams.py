@@ -14,6 +14,7 @@ reduces a wire from a box to itself when it builds that box's factor.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import count
@@ -291,10 +292,14 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     # (i, j), i < j, linked by a wire -> the width of their join
     widths = {(i, j): len(factors[i].vars) + len(factors[j].vars) - 2 * n
               for i, row in links.items() for j, n in row.items() if i < j}
+    # a join's node is new, so a pair's width is set once: skip gone pairs
+    heap = sorted((w, i, j) for (i, j), w in widths.items())
 
     while widths:
         if rng is None:
-            _, i, j = min((w, i, j) for (i, j), w in widths.items())
+            _, i, j = heapq.heappop(heap)
+            if (i, j) not in widths:
+                continue
         else:
             _, i, j = rng.choice(sorted((w, i, j)
                                         for (i, j), w in widths.items()))
@@ -310,7 +315,8 @@ def evaluate(d: Diagram, rng=None) -> Relation:
                     merged[m] = merged.get(m, 0) + n
         for m, n in merged.items():
             links[m][new] = n
-            widths[m, new] = len(factors[m].vars) + len(f.vars) - 2 * n
+            widths[m, new] = w = len(factors[m].vars) + len(f.vars) - 2 * n
+            heapq.heappush(heap, (w, m, new))
     final, *rest = factors.values()
     for f in rest:               # disconnected remainder: tensor it together
         final = join(final, f, 0)

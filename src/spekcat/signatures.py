@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem, methodcaller
-from typing import Tuple
+from functools import cached_property, reduce
+from operator import methodcaller, xor
+from typing import Optional, Tuple
 
 from . import gf2
 from . import relations as rel
@@ -60,22 +61,40 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class StateForm:
-    """Block signature list of a Spek state, one entry per external zone.
+    """The block signatures of a Spek state, an affine space over GF(2).
 
-    ``signatures`` pairs each distinct per-zone (parity, type) tuple with its
-    multiplicity.  ``zone_legs`` gives the leg count of each external zone and
-    ``leg_order`` maps canonical leg positions back to the source diagram's
-    leg indices.  ``system`` holds the equations the signatures solve; when
-    they have no solution the form lists no signature.
+    A signature, one (parity, type) pair per external zone, packs into 2e
+    bits, the types above the parities, the first zone highest in each.
+    The signatures are ``shift`` plus each sum of ``basis`` words, all of
+    multiplicity ``multiplicity``; ``shift`` is None (``multiplicity`` 0)
+    when ``system``, the equations they solve, has no solution.
+    ``zone_legs`` gives each external zone's leg count (at least 1) and
+    ``leg_order`` maps canonical leg positions to source leg indices.
     """
     zone_legs: Tuple[int, ...]
-    signatures: Tuple[Tuple[Tuple[Tuple[int, int], ...], int], ...]
     leg_order: Tuple[int, ...]
     system: ConstraintSystem
+    shift: Optional[int]
+    basis: Tuple[int, ...]
+    multiplicity: int
 
     @property
     def n_legs(self):
         return sum(self.zone_legs)
+
+    @cached_property
+    def signatures(self):
+        """Each signature as per-zone (parity, type) pairs, with its
+        multiplicity, in packed order: by types, then parities."""
+        if self.shift is None:
+            return ()
+        e = len(self.zone_legs)
+        fmt = "0%db" % (2 * e)
+        out = []
+        for w in sorted(self.shift ^ s for s in gf2.span(self.basis)):
+            bits = format(w, fmt).encode().translate(_BITS)
+            out.append((tuple(zip(bits[e:], bits[:e])), self.multiplicity))
+        return tuple(out)
 
     def to_text(self) -> str:
         if not self.signatures:
@@ -90,8 +109,12 @@ class StateForm:
     def expand(self) -> Relation:
         """The exact state (as a relation from the unit) the form describes.
 
-        Legs come out in the source diagram's order: each row is one sum of
-        ``_zone_table`` entries, one per zone, turned into bytes.  A form
+        Legs come out in the source diagram's order.  A value byte is
+        1 + 2t + b (t the type bit, b = 1 for the counted value), so a row
+        is a 1 per leg's byte plus a word y with t and b in bits s + 1 and
+        s of the byte.  The ys are one affine space: the signatures lifted
+        (a zone's type to each leg's t, its parity to its first leg's b),
+        plus per further leg a flip of its b and the first leg's.  A form
         with more legs than ``evaluate``'s joins may hold, twice
         ``max_arity()``, raises ``CapacityError``.
         """
@@ -100,54 +123,38 @@ class StateForm:
         if n > ceiling:
             raise CapacityError("expanding %d legs exceeds the ceiling of %d"
                                 % (n, ceiling))
-        tables = []
-        start = 0
-        for k in self.zone_legs:
-            tables.append(_zone_table([8 * (n - 1 - orig) for orig
-                                       in self.leg_order[start:start + k]]))
-            start += k
-        combos = itertools.chain.from_iterable(
-            itertools.product(*map(getitem, tables, sig))
-            for sig, _ in self.signatures)
-        rows = map(tuple, map(methodcaller("to_bytes", n, "big"),
-                              map(sum, combos)))
+        rows = []
+        if self.shift is not None:
+            types, parities, flips = [], [], []
+            legs = iter([1 << 8 * (n - 1 - orig) for orig in self.leg_order])
+            for k in self.zone_legs:
+                bits = list(itertools.islice(legs, k))
+                types.append(2 * sum(bits))
+                parities.append(bits[0])
+                flips += [bits[0] | b for b in bits[1:]]
+            lift = (types + parities)[::-1]      # packed bit i -> y
+            ones = sum(types) >> 1               # a 1 in each leg's byte
+
+            def lifted(w):
+                return reduce(xor, (v for i, v in enumerate(lift)
+                                    if w >> i & 1), 0)
+            # parity 0, Odd, is an odd count of b: each first b flips
+            y0 = lifted(self.shift ^ (1 << len(parities)) - 1)
+            rows = [ones + (y0 ^ y) for y in
+                    gf2.span([lifted(w) for w in self.basis] + flips)]
+        rows = map(tuple, map(methodcaller("to_bytes", n, "big"), rows))
         return Relation(rel.I, Space(4, n),
                         frozenset(zip(itertools.repeat(()), rows)))
 
 
-def _zone_table(shifts):
-    """(parity, type) -> a zone's block rows, each an int holding the value
-    on the zone's i-th leg in the byte at bit offset ``shifts[i]``.
-
-    The rows are grown one leg at a time, kept apart by whether the counted
-    value has so far appeared an even or an odd number of times; the result
-    holds the rows of ``_zone_block``, packed.
-    """
-    table = {}
-    for typ, (plain, counted) in TYPE_VALUES.items():  # PARITY_VALUE second
-        even, odd = [0], []
-        for s in shifts:
-            lo, hi = plain << s, counted << s
-            even, odd = ([r + lo for r in even] + [r + hi for r in odd],
-                         [r + hi for r in even] + [r + lo for r in odd])
-        table[1, typ] = even
-        table[0, typ] = odd
-    return table
-
-
 def _zone_block(sig, n_legs):
-    """All value tuples on a zone's legs matching one (parity, type) pair.
-
-    The unpacked definition of a ``_zone_table`` entry.
+    """All value tuples on a zone's legs matching one (parity, type) pair:
+    the definition of the blocks ``StateForm.expand`` spans in bit space.
     """
     parity, typ = sig
-    values = TYPE_VALUES[typ]
-    counted = PARITY_VALUE[typ]
-    out = []
-    for combo in itertools.product(values, repeat=n_legs):
-        if (combo.count(counted) + 1) % 2 == parity:
-            out.append(combo)
-    return out
+    return [combo for combo in itertools.product(TYPE_VALUES[typ],
+                                                 repeat=n_legs)
+            if (combo.count(PARITY_VALUE[typ]) + 1) % 2 == parity]
 
 
 def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
@@ -156,17 +163,16 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
     Input legs are first bent to outputs, so the form always describes the
     diagram's state under map-state duality.  Its system has one equation
     per internal zone: a leg-free zone survives contraction against the
-    Even selection of the counit, so its parity map is pinned to 1.  Of the
-    form's 2^rank signatures none is listed when the rank exceeds twice
-    ``max_arity()`` (``CapacityError``).
+    Even selection of the counit, so its parity map is pinned to 1.  The
+    form holds its 2^rank signatures as an affine space and lists none; one
+    whose rank exceeds twice ``max_arity()`` is refused (``CapacityError``).
     """
     zd = zone_decompose(as_state(d))
     maps, internal, external = zd.parity, zd.internal_zones, zd.external_zones
     system = ConstraintSystem(len(zd.zones),
                               tuple(maps[i][0] for i in internal),
                               tuple(1 ^ maps[i][1] for i in internal))
-    e = len(external)
-    signatures = []
+    shift, basis, multiplicity = None, (), 0
     solved = gf2.solve(system.rows, system.rhs, system.n_vars)
     if solved is not None:
         particular, kernel = solved
@@ -182,24 +188,15 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
 
         # the image is pack(particular) plus the span of the kernel's images
         # under the map's linear part
-        basis = gf2.rref([pack(k) ^ pack(0) for k in kernel])
+        basis = tuple(gf2.rref([pack(k) ^ pack(0) for k in kernel]))
         ceiling = 2 * max_arity()
         if len(basis) > ceiling:
             raise CapacityError("a form of 2^%d signatures exceeds the "
                                 "ceiling of 2^%d" % (len(basis), ceiling))
         shift = pack(particular)
-        image = [shift ^ w for w in gf2.span(basis)]
-        count = 1 << (len(kernel) - len(basis))
-        fmt = "0%db" % (2 * e)
-        for w in sorted(image):
-            bits = format(w, fmt).encode().translate(_BITS)
-            signatures.append((tuple(zip(bits[e:], bits[:e])), count))
-    return StateForm(
-        zone_legs=tuple(len(zd.zones[i].legs) for i in external),
-        signatures=tuple(signatures),
-        leg_order=zd.leg_reorder,
-        system=system,
-    ), zd
+        multiplicity = 1 << (len(kernel) - len(basis))
+    return StateForm(tuple(len(zd.zones[i].legs) for i in external),
+                     zd.leg_reorder, system, shift, basis, multiplicity), zd
 
 
 @dataclass(frozen=True)
@@ -232,13 +229,9 @@ def duplication_analysis(d: Diagram) -> DuplicationReport:
         raise CapacityError("cancelling-set search over %d internal zones "
                             "(limit %d)" % (len(internal), MAX_ACS_ZONES))
 
-    counts = {count for _, count in form.signatures}
-    if len(counts) > 1:
-        raise RuntimeError("signature multiplicities are not uniform: %s"
-                           % sorted(counts))
-    factor = counts.pop() if counts else 0
+    factor = form.multiplicity
     dependent = len(system.rows) - system.rank
-    if form.signatures and factor != 1 << dependent:
+    if form.shift is not None and factor != 1 << dependent:
         raise RuntimeError("multiplicity %d is not 2^%d, from the %d dependent "
                            "constraints" % (factor, dependent, dependent))
 
@@ -255,6 +248,7 @@ def duplication_analysis(d: Diagram) -> DuplicationReport:
         internal_zones=internal,
         system=system,
         duplication_factor=factor,
-        distinct_signatures=len(form.signatures),
+        distinct_signatures=(0 if form.shift is None
+                             else 1 << len(form.basis)),
         acs=tuple(acs),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -136,9 +137,7 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
 
     def corrupted(d):
         form, zd = real(d)
-        return (form.__class__(form.zone_legs, form.signatures[:-1] or
-                               form.signatures, form.leg_order,
-                               form.system), zd)
+        return dataclasses.replace(form, shift=form.shift ^ 1), zd
 
     monkeypatch.setattr(cli.sg, "state_form", corrupted)
     code, out, _ = run(capsys, "compare", golden("triangle.spekd"))

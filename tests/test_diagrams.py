@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -515,6 +516,21 @@ def test_evaluate_long_chain_matches_closed_form():
     d = dg.parse(chain_int(60))
     form, _ = sg.state_form(d)
     assert dg.evaluate(d) == form.expand()
+
+
+def test_evaluate_scales_near_linearly_on_long_chains():
+    # the scheduler pops pairs from a heap: chain-int(2560) takes about 3.5
+    # to 4.5 times as long as chain-int(640); a min over every pair took 15
+    def best_of_3(n):
+        d = dg.parse(chain_int(n))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            dg.evaluate(d)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(2560) / best_of_3(640) <= 8
 
 
 def test_evaluate_raises_when_internal_vars_remain(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nets import (EMPTY_SCALAR, chain, fan, golden_diagram, odd_adjacency,
                   zone_profile)
 from spekcat import diagrams as dg
+from spekcat import gf2
 from spekcat import signatures as sg
 from spekcat.generate import random_diagram
 from spekcat import relations as rel
@@ -158,14 +159,10 @@ def test_duplication_refuses_many_internal_zones():
 def test_duplication_invariants_raise(monkeypatch):
     d = golden_diagram("chain")
     form, zd = sg.state_form(d)
-    (first, count), *rest = form.signatures
-    uneven = ((first, 2 * count),) + tuple(rest)
-    doubled = tuple((sig, 2 * n) for sig, n in form.signatures)
-    for bad in (uneven, doubled):
-        bad_form = dataclasses.replace(form, signatures=bad)
-        monkeypatch.setattr(sg, "state_form", lambda _: (bad_form, zd))
-        with pytest.raises(RuntimeError):
-            sg.duplication_analysis(d)
+    doubled = dataclasses.replace(form, multiplicity=2 * form.multiplicity)
+    monkeypatch.setattr(sg, "state_form", lambda _: (doubled, zd))
+    with pytest.raises(RuntimeError):
+        sg.duplication_analysis(d)
 
 
 def copy_tree(n):
@@ -214,8 +211,26 @@ def test_state_form_refuses_chain_21_quickly(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_state_form_of_chain_20_lists_nothing(monkeypatch):
+    # 2^20 signatures, within the ceiling: the form holds them as a basis
+    monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
+    d = dg.parse(chain(20))
+    start = time.perf_counter()
+    form, _ = sg.state_form(d)
+    assert time.perf_counter() - start < 1.0
+    assert len(form.basis) == 20
+
+
+def test_signatures_are_the_affine_space():
+    for seed in range(200):
+        form, _ = sg.state_form(random_diagram(seed))
+        size = 0 if form.shift is None else 2 ** len(form.basis)
+        assert len(form.signatures) == size
+        assert all(n == form.multiplicity for _, n in form.signatures)
+
+
 def reference_expand(form):
-    """The row-by-row expansion the byte-packed tables replace: each block
+    """The row-by-row expansion the bit-space span replaces: each block
     row is flattened zone by zone, then permuted into source leg order."""
     n = form.n_legs
     inverse = [0] * n
@@ -236,25 +251,18 @@ NO_EQUATIONS = sg.ConstraintSystem(0, (), ())
 
 @st.composite
 def state_forms(draw):
-    """Any form: 0-4 zones of 0-3 legs, any leg order, and a signature list
-    that is either every signature but one, with duplicates (up to 6 legs),
-    or a short list, perhaps empty."""
-    zone_legs = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
-    n = sum(zone_legs)
-    leg_order = tuple(draw(st.permutations(range(n))))
-    pairs = list(itertools.product((0, 1), repeat=2))
-    every = list(itertools.product(pairs, repeat=len(zone_legs)))
-    some = st.lists(st.sampled_from(every), max_size=4)
-    if n <= 6 and draw(st.booleans()):
-        drop = draw(st.integers(0, len(every) - 1))
-        sigs = every[:drop] + every[drop + 1:] + draw(some)
-    else:
-        sigs = draw(some)
-    sigs = draw(st.permutations(sigs))
-    counts = draw(st.lists(st.integers(1, 4), min_size=len(sigs),
-                           max_size=len(sigs)))
-    return sg.StateForm(zone_legs, tuple(zip(sigs, counts)), leg_order,
-                        NO_EQUATIONS)
+    """Any form: 0-4 zones of 1-3 legs, any leg order, and either no
+    signature or the affine space of a shift in 2e bits and an rref'd
+    basis of up to 2e random words."""
+    zone_legs = tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
+    leg_order = tuple(draw(st.permutations(range(sum(zone_legs)))))
+    words = st.integers(0, (1 << 2 * len(zone_legs)) - 1)
+    shift = draw(st.none() | words)
+    if shift is None:
+        return sg.StateForm(zone_legs, leg_order, NO_EQUATIONS, None, (), 0)
+    basis = gf2.rref(draw(st.lists(words, max_size=2 * len(zone_legs))))
+    return sg.StateForm(zone_legs, leg_order, NO_EQUATIONS, shift,
+                        tuple(basis), draw(st.sampled_from((1, 2, 4))))
 
 
 @settings(max_examples=400, deadline=None)
@@ -264,10 +272,11 @@ def test_expand_matches_reference_expansion(form):
 
 
 def test_expand_of_zero_leg_forms():
-    unit = sg.StateForm((), (((), 1),), (), NO_EQUATIONS)
+    unit = sg.StateForm((), (), NO_EQUATIONS, 0, (), 1)
+    assert unit.signatures == (((), 1),)
     assert unit.expand() == reference_expand(unit)
     assert unit.expand().pairs == frozenset({((), ())})
-    assert not sg.StateForm((), (), (), NO_EQUATIONS).expand().pairs
+    assert not sg.StateForm((), (), NO_EQUATIONS, None, (), 0).expand().pairs
 
 
 def tally_per_solution(d):
