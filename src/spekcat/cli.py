@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -34,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_diagram(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -71,16 +72,26 @@ def cmd_eval(args):
 def cmd_form(args):
     form, _ = sg.state_form(_read_spek_diagram(args.path))
     lines = list(filter(None, form.system.to_text().splitlines()))
-    if args.format == "jsonl":
-        for sig, count in form.signatures:
-            print(json.dumps({"signature": [[p, t] for p, t in sig],
-                              "count": count}))
-        for line in lines:
-            print(json.dumps({"constraint": line}))
-    else:
-        print(form.to_text(), end="")
-        for line in lines:
-            print("constraint %s" % line)
+    # The listing can hold millions of signature tuples of ints, which the
+    # collector untracks, so full collections keep coming and each walks
+    # the growing list: quadratic time.  Pause it while listing, and put
+    # back the state it had, as main() also runs in-process.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if args.format == "jsonl":
+            for sig, count in form.signatures:
+                print(json.dumps({"signature": [[p, t] for p, t in sig],
+                                  "count": count}))
+            for line in lines:
+                print(json.dumps({"constraint": line}))
+        else:
+            print(form.to_text(), end="")
+            for line in lines:
+                print("constraint %s" % line)
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

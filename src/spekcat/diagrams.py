@@ -8,8 +8,11 @@ the plain diagonal, so a wire means equality of its two port values, and
 bending a leg only moves it between the inputs and the outputs.  The port
 index, which says what each port is attached to, is the cached property
 ``Diagram.ports``: built, and the diagram checked, on first access, or
-handed over by the rewriting pass that built the diagram.  Evaluation
-reduces a wire from a box to itself when it builds that box's factor.
+handed over by bending, which only moves legs.  Sigma normalisation looks
+ports up in its input's index and builds none for its output; zone
+decomposition reads each Sigma box's ends off its scan of the wires.
+Evaluation reduces a wire from a box to itself when it builds that box's
+factor.
 """
 
 from __future__ import annotations
@@ -348,61 +351,6 @@ def _is_phased_box(gen: GeneratorId) -> bool:
                        "identity")
 
 
-class _Builder:
-    """Mutable companion of Diagram used by the rewriting passes.
-
-    Every edit keeps the port index (as in ``Diagram.ports``) up to date, and
-    ``finish`` hands it to the new diagram.
-    """
-
-    def __init__(self, d: Diagram):
-        self.theory = d.theory
-        self.box_map = dict(d.box_map)     # in box order
-        self.wires = list(d.wires)
-        self.legs = list(d.legs)
-        self.index = dict(d.ports)
-        self._names = set(self.box_map)    # removed names are not reused
-        self._next = {}                    # stem -> lowest suffix maybe free
-
-    def add_box(self, stem, gen):
-        """Add a box named ``<stem><k>`` with the lowest unused k."""
-        k = self._next.get(stem, 0)
-        while "%s%d" % (stem, k) in self._names:
-            k += 1
-        self._next[stem] = k + 1
-        name = "%s%d" % (stem, k)
-        self._names.add(name)
-        self.box_map[name] = gen
-        return name
-
-    def add_wire(self, a, b):
-        self.index[a] = ("wire", len(self.wires), b)
-        self.index[b] = ("wire", len(self.wires), a)
-        self.wires.append((a, b))
-
-    def reattach(self, port, new_port):
-        """Move whatever was attached at ``port`` onto ``new_port``."""
-        kind = self.index.pop(port)
-        self.index[new_port] = kind
-        if kind[0] == "wire":
-            _, i, other = kind
-            self.wires[i] = (other, new_port)
-            self.index[other] = ("wire", i, new_port)
-        else:
-            i = kind[1]
-            self.legs[i] = (new_port, self.legs[i][1])
-
-    def finish(self) -> Diagram:
-        """The built diagram, holding the maintained index as its ports."""
-        if self.index.keys() != {(name, s) for name, gen
-                                 in self.box_map.items() for s in slots(gen)}:
-            raise RuntimeError("port index is not one entry per box slot")
-        d = Diagram(self.theory, tuple(self.box_map.items()),
-                    tuple(self.wires), tuple(self.legs))
-        d.__dict__.update(box_map=self.box_map, ports=self.index)
-        return d
-
-
 def _bend(d: Diagram, bent) -> Diagram:
     """``d`` with the open legs ``bent`` turned around and moved, in that
     order, to the end of the leg list; each keeps its port."""
@@ -444,45 +392,79 @@ def sigma_normalize(d: Diagram) -> Diagram:
     factored through Sigma, and identity spacers are inserted so each Sigma
     box touches phased boxes on both sides.
     """
-    d.validate()
+    index = d.validate().ports
     if d.theory != SPEK:
         raise DiagramError("zone decomposition applies to Spek diagrams only")
-    b = _Builder(d)
+    boxes, wires, legs = dict(d.box_map), list(d.wires), list(d.legs)
+    held = {}           # port made or moved here -> ("wire", i) | ("leg", k)
+    names, free = set(boxes), {}     # removed names are not reused
+
+    def add_box(stem, gen):
+        """Add a box named ``<stem><k>`` with the lowest unused k."""
+        k = free.get(stem, 0)
+        while "%s%d" % (stem, k) in names:
+            k += 1
+        free[stem] = k + 1
+        new = "%s%d" % (stem, k)
+        names.add(new)
+        boxes[new] = gen
+        return new
+
+    def add_wire(a, b):
+        held[a] = held[b] = ("wire", len(wires))
+        wires.append((a, b))
+
+    def holder(port):
+        """The wire or leg at ``port``, and for a wire its other end."""
+        kind, i = held.get(port) or index[port][:2]
+        if kind == "leg":
+            return kind, i, None
+        a, b = wires[i]
+        return kind, i, b if a == port else a
+
+    def reattach(port, new_port):
+        """Move whatever was attached at ``port`` onto ``new_port``."""
+        kind, i, other = holder(port)
+        held[new_port] = (kind, i)
+        if other is None:
+            legs[i] = (new_port, legs[i][1])
+        else:
+            wires[i] = (other, new_port)
 
     # dissolve swap boxes into crossing connections
     for name, gen in d.boxes:
         if gen.tag != "swap":
             continue
-        del b.box_map[name]
+        del boxes[name]
         for src, dst in (("in", "2"), ("in2", "1")):
-            spacer = b.add_box("_x", GeneratorId("identity", SPEK))
-            b.reattach((name, src), (spacer, "in"))
-            b.reattach((name, dst), (spacer, "1"))
+            spacer = add_box("_x", GeneratorId("identity", SPEK))
+            reattach((name, src), (spacer, "in"))
+            reattach((name, dst), (spacer, "1"))
 
     # factor unphased permutations through Sigma
     for name, gen in d.boxes:
         if gen.tag != "perm" or gen.perm.is_phased:
             continue
-        del b.box_map[name]
+        del boxes[name]
         factors = sigma_decompose(gen.perm)
-        chain = [b.add_box("_s" if f == SIGMA else "_p",
-                           GeneratorId("perm", SPEK, f)) for f in factors]
-        b.reattach((name, "in"), (chain[0], "in"))
-        b.reattach((name, "1"), (chain[-1], "1"))
+        chain = [add_box("_s" if f == SIGMA else "_p",
+                         GeneratorId("perm", SPEK, f)) for f in factors]
+        reattach((name, "in"), (chain[0], "in"))
+        reattach((name, "1"), (chain[-1], "1"))
         for left, right in zip(chain, chain[1:]):
-            b.add_wire((left, "1"), (right, "in"))
+            add_wire((left, "1"), (right, "in"))
 
     # pad Sigma boxes so both neighbours are phased
-    for name, gen in list(b.box_map.items()):
+    for name, gen in list(boxes.items()):
         if not _is_sigma(gen):
             continue
         for slot in ("in", "1"):
-            kind = b.index[name, slot]
-            if kind[0] == "leg" or _is_sigma(b.box_map[kind[2][0]]):
-                spacer = b.add_box("_i", GeneratorId("identity", SPEK))
-                b.reattach((name, slot), (spacer, "in"))
-                b.add_wire((spacer, "1"), (name, slot))
-    return b.finish()
+            other = holder((name, slot))[2]
+            if other is None or _is_sigma(boxes[other[0]]):
+                spacer = add_box("_i", GeneratorId("identity", SPEK))
+                reattach((name, slot), (spacer, "in"))
+                add_wire((spacer, "1"), (name, slot))
+    return Diagram(d.theory, tuple(boxes.items()), tuple(wires), tuple(legs))
 
 
 @dataclass(frozen=True)
@@ -548,9 +530,14 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
             x = parent[x]
         return x
 
-    for (ab, _), (bb, _) in nd.wires:
-        if ab in parent and bb in parent:
-            parent[find(ab)] = find(bb)
+    sigma_ends = {}                # Sigma port -> the phased box it meets
+    for a, b in nd.wires:
+        if a[0] in parent and b[0] in parent:
+            parent[find(a[0])] = find(b[0])
+        elif a[0] in parent:
+            sigma_ends[b] = a[0]
+        elif b[0] in parent:
+            sigma_ends[a] = b[0]
 
     # zones in the order they are met: external ones by their first leg,
     # then internal ones by their first box; boxes and legs in their order
@@ -567,17 +554,14 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
 
     links = []
     odd = [0] * len(ordering)      # zone -> the zones linked to it oddly often
-    ports = nd.ports
     for name, gen in nd.boxes:
         if not _is_sigma(gen):
             continue
-        ends = []
-        for slot in ("in", "1"):
-            kind = ports[name, slot]
-            if kind[0] != "wire":
-                raise RuntimeError("Sigma box %s ends in an open leg" % name)
-            ends.append(zone_index[comp_of[kind[2][0]]])
-        a, b = sorted(ends)
+        ends = [sigma_ends.get((name, slot)) for slot in ("in", "1")]
+        if None in ends:
+            raise RuntimeError("Sigma box %s does not end in phased boxes"
+                               % name)
+        a, b = sorted(zone_index[comp_of[end]] for end in ends)
         links.append((a, b))
         if a != b:
             odd[a] ^= 1 << b

@@ -95,20 +95,22 @@ class Permutation:
 
 def perm_from_cycles(text: str, base: int = 4) -> Permutation:
     """Parse cycle notation; omitted fixed points are allowed ("(12)" == "(12)(3)(4)")."""
-    elems = (1, 2, 3, 4) if base == 4 else (0, 1)
+    symbols = "1234" if base == 4 else "01"
+    elems = tuple(map(int, symbols))
     mapping = {}
     body = text.strip()
     if body in ("", "()"):
-        return Permutation(base, tuple(elems))
+        return Permutation(base, elems)
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError("bad cycle notation: %r" % text)
     for cyc in body[1:-1].split(")("):
+        for c in cyc:
+            if c not in symbols:
+                raise ValueError("bad element %r in %r" % (c, text))
         digits = [int(c) for c in cyc]
         if not digits:
             raise ValueError("empty cycle in %r" % text)
         for d in digits:
-            if d not in elems:
-                raise ValueError("element %d out of range in %r" % (d, text))
             if d in mapping or digits.count(d) > 1:
                 raise ValueError("element %d repeated in %r" % (d, text))
         for a, b in zip(digits, digits[1:] + digits[:1]):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from spekcat import cli
+from spekcat import signatures as sg
 from spekcat import verification as vf
 from spekcat.relations import Relation
 
@@ -67,6 +69,36 @@ def test_eval_non_utf8_file(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
     assert out == ""
     assert len(err.splitlines()) == 1 and str(path) in err
+
+
+def test_eval_reads_past_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "eta.spekd"
+    path.write_bytes(b"\xef\xbb\xbf" + read("eta.spekd").encode("utf-8"))
+    code, out, _ = run(capsys, "eval", str(path))
+    assert code == 0
+    assert out == read("eta.rel")
+
+
+def test_form_pauses_the_collector_and_restores_it(capsys, monkeypatch):
+    listing = sg.StateForm.to_text
+    seen = []
+
+    def to_text(form):
+        seen.append(gc.isenabled())
+        return listing(form)
+
+    monkeypatch.setattr(sg.StateForm, "to_text", to_text)
+    collecting = gc.isenabled()
+    try:
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            for fmt in ("text", "jsonl"):
+                code, _, _ = run(capsys, "--format", fmt, "form",
+                                 golden("chain.spekd"))
+                assert code == 0 and gc.isenabled() == before
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_form_golden_outputs(capsys):
@@ -131,8 +163,6 @@ def test_compare_random(capsys):
 
 
 def test_compare_detects_mismatch(capsys, monkeypatch):
-    from spekcat import signatures as sg
-
     real = sg.state_form
 
     def corrupted(d):

@@ -141,15 +141,12 @@ def test_handed_over_index_matches_rebuild():
             assert nd.box_map == fresh.box_map
 
 
-def test_finish_refuses_an_index_that_misses_a_slot():
-    b = dg._Builder(dg.parse(ETA_SRC))
-    b.add_box("_z", GeneratorId("identity", "spek"))   # its ports are unheld
-    with pytest.raises(RuntimeError):
-        b.finish()
-    b = dg._Builder(dg.parse(ETA_SRC))
-    del b.box_map["e"]                  # e.1 stays in the index
-    with pytest.raises(RuntimeError):
-        b.finish()
+def test_normal_forms_build_no_port_index():
+    # the normal form is built once per closed form and read only by its
+    # wire scan: an index on it would be built, or checked, for nothing
+    for d in rewrite_inputs():
+        assert "ports" not in dg.sigma_normalize(d).__dict__
+        assert "ports" not in dg.zone_decompose(d).diagram.__dict__
 
 
 def test_bend_identity_gives_diagonal_state():
@@ -200,6 +197,15 @@ def test_zone_counts_for_worked_examples():
 def test_purely_phased_diagram_is_one_zone():
     zd = dg.zone_decompose(dg.parse(ETA_SRC))
     assert len(zd.zones) == 1 and not zd.links
+
+
+def test_zones_refuse_a_sigma_end_without_a_phased_box(monkeypatch):
+    # unpadded, two Sigma boxes may meet
+    monkeypatch.setattr(dg, "sigma_normalize", lambda d: d)
+    d = dg.parse("box e: eps+\nbox s: perm((24))\nbox t: perm((24))\n"
+                 "box f: eps\nwire e.1 s.in\nwire s.1 t.in\nwire t.1 f.in\n")
+    with pytest.raises(RuntimeError, match="Sigma box s "):
+        dg.zone_decompose(d)
 
 
 def test_sigma_normalize_splits_unphased_perms():

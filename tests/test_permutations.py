@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from spekcat.diagrams import DiagramError, parse
 from spekcat.permutations import (IDENTITY_2, IDENTITY_4, SIGMA, Z2_SWAP,
                                   Permutation, perm_from_cycles,
                                   phased_permutations, s4, sigma_decompose,
@@ -111,6 +112,12 @@ def test_bad_cycles_rejected():
         perm_from_cycles("(15)")
     with pytest.raises(ValueError):
         perm_from_cycles("(11)")
+    # only the carrier's own digits: no foreign digits, spaces or letters
+    for cycles in ("(\u0661\u0662)", "(1 2)", "(a)"):
+        with pytest.raises(ValueError, match="bad element"):
+            perm_from_cycles(cycles)
+        with pytest.raises(DiagramError, match="line 2: bad element"):
+            parse("\nbox p: perm(%s)\nin p.in\nout p.1\n" % cycles)
 
 
 def test_sigma_table_matches_word_search():
