@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import shutil
@@ -72,26 +71,17 @@ def cmd_eval(args):
 def cmd_form(args):
     form, _ = sg.state_form(_read_spek_diagram(args.path))
     lines = list(filter(None, form.system.to_text().splitlines()))
-    # The listing can hold millions of signature tuples of ints, which the
-    # collector untracks, so full collections keep coming and each walks
-    # the growing list: quadratic time.  Pause it while listing, and put
-    # back the state it had, as main() also runs in-process.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        if args.format == "jsonl":
-            for sig, count in form.signatures:
-                print(json.dumps({"signature": [[p, t] for p, t in sig],
-                                  "count": count}))
-            for line in lines:
-                print(json.dumps({"constraint": line}))
-        else:
-            print(form.to_text(), end="")
-            for line in lines:
-                print("constraint %s" % line)
-    finally:
-        if collecting:
-            gc.enable()
+    if args.format == "jsonl":
+        for sig, count in form.walk():
+            print(json.dumps({"signature": [[p, t] for p, t in sig],
+                              "count": count}))
+        for line in lines:
+            print(json.dumps({"constraint": line}))
+    else:
+        for line in form.lines():
+            print(line)
+        for line in lines:
+            print("constraint %s" % line)
     return 0
 
 

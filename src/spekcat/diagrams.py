@@ -18,7 +18,7 @@ factor.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from itertools import count
 from operator import itemgetter
@@ -53,12 +53,10 @@ def slots(gen: GeneratorId) -> Tuple[str, ...]:
     return _SLOTS[gen.tag]
 
 
-@dataclass(frozen=True)
-class Diagram:
-    theory: str = SPEK
-    boxes: Tuple[Tuple[str, GeneratorId], ...] = ()
-    wires: Tuple[Tuple[Port, Port], ...] = ()
-    legs: Tuple[Tuple[Port, str], ...] = ()      # (port, "in"|"out"), ordered
+class Diagram(namedtuple("Diagram", "theory boxes wires legs",
+                         defaults=(SPEK, (), (), ()))):
+    """Boxes ``(id, GeneratorId)``, wires ``(Port, Port)`` and the open
+    legs ``(Port, "in"|"out")``, in order."""
 
     @cached_property
     def box_map(self) -> Dict[str, GeneratorId]:
@@ -467,19 +465,23 @@ def sigma_normalize(d: Diagram) -> Diagram:
     return Diagram(d.theory, tuple(boxes.items()), tuple(wires), tuple(legs))
 
 
-@dataclass(frozen=True)
-class Zone:
-    boxes: Tuple[str, ...]
-    legs: Tuple[int, ...]          # 0-based open-leg indices, in leg order
+class Zone(namedtuple("Zone", "boxes legs")):
+    """Box ids, and 0-based open-leg indices in leg order."""
+
+    __slots__ = ()
 
     @property
     def is_internal(self):
         return not self.legs
 
 
-@dataclass(frozen=True)
-class ZoneDecomposition:
+class ZoneDecomposition(namedtuple(
+        "ZoneDecomposition", "diagram zones links leg_reorder parity")):
     """A Spek diagram split into phased zones linked by Sigma boxes.
+
+    ``diagram`` is the Sigma-normalised diagram; ``links`` holds one
+    ``(zone, zone)`` entry per Sigma box, and ``leg_reorder`` the original
+    leg indices in canonical order.
 
     ``parity`` holds one ``(mask, offset)`` per zone: with T the zones'
     type bits, bit i for zone i, zone i's block parity is ``offset`` plus
@@ -490,11 +492,8 @@ class ZoneDecomposition:
     (1 + f12) + (f12 + f34) T_i, and each zone j linked to it an odd number
     of times adds T_i + T_j.
     """
-    diagram: Diagram               # the Sigma-normalised diagram
-    zones: Tuple[Zone, ...]
-    links: Tuple[Tuple[int, int], ...]   # one (zone, zone) entry per Sigma box
-    leg_reorder: Tuple[int, ...]   # canonical order: original leg indices
-    parity: Tuple[Tuple[int, int], ...]  # per zone: (mask, offset)
+
+    __slots__ = ()
 
     @property
     def external_zones(self):

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import relations as rel
-from .permutations import Permutation, perm_from_cycles
+from .permutations import perm_from_cycles
 from .relations import I, Relation, Space
 
 SPEK = "spek"
@@ -22,27 +22,25 @@ class TheoryError(ValueError):
     """A generator was requested under a theory that does not contain it."""
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(namedtuple("GeneratorId", "tag theory perm")):
     """A named generator: tag, theory, and the permutation payload for perm tags."""
 
-    tag: str
-    theory: str = SPEK
-    perm: Optional[Permutation] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.theory not in THEORIES:
-            raise TheoryError("unknown theory %r" % self.theory)
-        if self.tag in ("bottom", "bottom_dagger") and self.theory != MSPEK:
-            raise TheoryError("%s is only a generator of MSpek" % self.tag)
-        if self.tag == "perm":
-            if self.perm is None:
+    def __new__(cls, tag, theory=SPEK, perm=None):
+        if theory not in THEORIES:
+            raise TheoryError("unknown theory %r" % theory)
+        if tag in ("bottom", "bottom_dagger") and theory != MSPEK:
+            raise TheoryError("%s is only a generator of MSpek" % tag)
+        if tag == "perm":
+            if perm is None:
                 raise ValueError("perm generator needs a permutation")
-            if self.perm.base != BASE[self.theory]:
+            if perm.base != BASE[theory]:
                 raise TheoryError("permutation base %d does not fit theory %s"
-                                  % (self.perm.base, self.theory))
-        elif self.perm is not None:
+                                  % (perm.base, theory))
+        elif perm is not None:
             raise ValueError("only perm generators carry a permutation")
+        return super().__new__(cls, tag, theory, perm)
 
     @property
     def base_space(self):

@@ -4,25 +4,23 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import Tuple
 
 from .relations import II, IV, Relation
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "base images")):
     """A bijection on {1..4} (base 4) or {0,1} (base 2), stored by images."""
 
-    base: int
-    images: Tuple[int, ...]
-
-    def __post_init__(self):
+    def __new__(cls, base, images):
+        self = super().__new__(cls, base, images)
         elems = self.elements()
-        if sorted(self.images) != list(elems):
+        if sorted(images) != list(elems):
             raise ValueError("images %r are not a bijection on %r"
-                             % (self.images, elems))
+                             % (images, elems))
+        return self
 
     def elements(self):
         return (1, 2, 3, 4) if self.base == 4 else (0, 1)
@@ -148,16 +146,17 @@ def _sigma_table():
     words have minimal prefixes, and a best-first search over the
     24-element Cayley graph finds them.
     """
-    alphabet = sorted(phased_permutations(), key=lambda p: p.name) + [SIGMA]
+    alphabet = [(f, f.name, f == SIGMA) for f in
+                sorted(phased_permutations(), key=lambda p: p.name) + [SIGMA]]
     best = {}
     frontier = [((0, 0, ()), IDENTITY_4, ())]
     while frontier:
         (sigmas, length, names), p, word = heapq.heappop(frontier)
         if p not in best:
             best[p] = word
-            for f in alphabet:
-                heapq.heappush(frontier, ((sigmas + (f == SIGMA), length + 1,
-                                           names + (f.name,)),
+            for f, name, sigma in alphabet:
+                heapq.heappush(frontier, ((sigmas + sigma, length + 1,
+                                           names + (name,)),
                                           p.then(f), word + (f,)))
     return best
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Tuple
 
 Digits = Tuple[int, ...]
@@ -44,26 +44,23 @@ def max_arity() -> int:
     return arity
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(namedtuple("Space", "base arity")):
     """A power of a fixed base set: base 4 ({1,2,3,4}), base 2 ({0,1}) or the unit.
 
     The unit object is canonically (base=1, arity=0); any arity-0 space is
     normalised to it on construction.
     """
 
-    base: int = 1
-    arity: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base not in (1, 2, 4):
-            raise ValueError("base must be 1, 2 or 4, got %r" % (self.base,))
-        if self.arity < 0:
+    def __new__(cls, base=1, arity=0):
+        if base not in (1, 2, 4):
+            raise ValueError("base must be 1, 2 or 4, got %r" % (base,))
+        if arity < 0:
             raise ValueError("arity must be non-negative")
-        if self.arity == 0 and self.base != 1:
-            object.__setattr__(self, "base", 1)
-        if self.base == 1:
-            object.__setattr__(self, "arity", 0)
+        if arity == 0 or base == 1:
+            base, arity = 1, 0
+        return super().__new__(cls, base, arity)
 
     def digits(self) -> range:
         # 1-based digits for the 4-element carrier, 0-based for the 2-element one
@@ -100,13 +97,10 @@ def _fmt(t: Digits) -> str:
     return "".join(str(d) for d in t) if t else "*"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "dom cod pairs")):
     """A relation dom -> cod as a frozen set of (dom tuple, cod tuple) pairs."""
 
-    dom: Space
-    cod: Space
-    pairs: frozenset
+    __slots__ = ()
 
     @property
     def is_state(self) -> bool:

@@ -21,10 +21,10 @@ kernel), each of multiplicity 2^(dim kernel - r).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from operator import methodcaller, xor
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import gf2
 from . import relations as rel
@@ -38,12 +38,11 @@ PARITY_VALUE = {0: 2, 1: 4}      # the counted value per type
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Linear conditions over the zone type bits T1, ..., Tm (1-based)."""
-    n_vars: int
-    rows: Tuple[int, ...]        # coefficient bitmasks, bit i = T_{i+1}
-    rhs: Tuple[int, ...]
+class ConstraintSystem(namedtuple("ConstraintSystem", "n_vars rows rhs")):
+    """Linear conditions over the zone type bits T1, ..., Tm (1-based):
+    ``rows`` holds coefficient bitmasks, bit i = T_{i+1}."""
+
+    __slots__ = ()
 
     @property
     def rank(self):
@@ -59,24 +58,19 @@ class ConstraintSystem:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class StateForm:
+class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
+                                        "basis multiplicity")):
     """The block signatures of a Spek state, an affine space over GF(2).
 
     A signature, one (parity, type) pair per external zone, packs into 2e
     bits, the types above the parities, the first zone highest in each.
-    The signatures are ``shift`` plus each sum of ``basis`` words, all of
-    multiplicity ``multiplicity``; ``shift`` is None (``multiplicity`` 0)
-    when ``system``, the equations they solve, has no solution.
+    The signatures are ``shift`` plus each sum of ``basis`` words, rows in
+    reduced row echelon form, all of multiplicity ``multiplicity``;
+    ``shift`` is None (``multiplicity`` 0) when ``system``, the equations
+    they solve, has no solution.
     ``zone_legs`` gives each external zone's leg count (at least 1) and
     ``leg_order`` maps canonical leg positions to source leg indices.
     """
-    zone_legs: Tuple[int, ...]
-    leg_order: Tuple[int, ...]
-    system: ConstraintSystem
-    shift: Optional[int]
-    basis: Tuple[int, ...]
-    multiplicity: int
 
     @property
     def n_legs(self):
@@ -84,27 +78,43 @@ class StateForm:
 
     @cached_property
     def signatures(self):
+        """Every signature ``walk`` yields, in its order."""
+        return tuple(self.walk())
+
+    def walk(self):
         """Each signature as per-zone (parity, type) pairs, with its
-        multiplicity, in packed order: by types, then parities."""
+        multiplicity, in packed order (by types, then parities), one at a
+        time.  With ``shift`` cleared at each pivot of the reduced
+        ``basis``, a signature's pivot bits say which rows it adds, so
+        counting over the rows, the highest pivot most significant, walks
+        the signatures in sorted order; each step adds the rows whose
+        count bits flip."""
         if self.shift is None:
-            return ()
+            return
+        w = self.shift
+        for row in self.basis:
+            if w >> (row.bit_length() - 1) & 1:
+                w ^= row
+        flips = list(itertools.accumulate(reversed(self.basis), xor))
         e = len(self.zone_legs)
         fmt = "0%db" % (2 * e)
-        out = []
-        for w in sorted(self.shift ^ s for s in gf2.span(self.basis)):
+        for c in range(1 << len(flips)):
+            if c:
+                w ^= flips[(c & -c).bit_length() - 1]
             bits = format(w, fmt).encode().translate(_BITS)
-            out.append((tuple(zip(bits[e:], bits[:e])), self.multiplicity))
-        return tuple(out)
+            yield tuple(zip(bits[e:], bits[:e])), self.multiplicity
 
-    def to_text(self) -> str:
-        if not self.signatures:
-            return "EMPTY\n"
-        lines = []
-        for sig, count in self.signatures:
+    def lines(self):
+        """The lines of ``to_text``, one signature at a time."""
+        if self.shift is None:
+            yield "EMPTY"
+        for sig, count in self.walk():
             cells = ["%s,%s" % (PARITY_NAMES[p], TYPE_NAMES[t])
                      for p, t in sig]
-            lines.append("(%s) x%d" % ("; ".join(cells), count))
-        return "\n".join(lines) + "\n"
+            yield "(%s) x%d" % ("; ".join(cells), count)
+
+    def to_text(self) -> str:
+        return "".join(line + "\n" for line in self.lines())
 
     def expand(self) -> Relation:
         """The exact state (as a relation from the unit) the form describes.
@@ -199,8 +209,9 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
                      zd.leg_reorder, system, shift, basis, multiplicity), zd
 
 
-@dataclass(frozen=True)
-class DuplicationReport:
+class DuplicationReport(namedtuple(
+        "DuplicationReport", "n_zones internal_zones system "
+                             "duplication_factor distinct_signatures acs")):
     """How many type assignments give each distinct block.
 
     Every signature has the same multiplicity, ``duplication_factor``,
@@ -209,12 +220,8 @@ class DuplicationReport:
     of internal zones whose external neighbourhoods cancel pairwise (each
     externally linked zone being covered an even number of times).
     """
-    n_zones: int
-    internal_zones: Tuple[int, ...]
-    system: ConstraintSystem
-    duplication_factor: int
-    distinct_signatures: int
-    acs: Tuple[Tuple[int, ...], ...]
+
+    __slots__ = ()
 
 
 MAX_ACS_ZONES = 16              # the witness search tries every subset

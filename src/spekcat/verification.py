@@ -11,9 +11,9 @@ map-state duality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from . import gf2
 from . import relations as rel
@@ -24,10 +24,10 @@ from .permutations import Z2_SWAP
 from .relations import CapacityError, Relation, Space, max_arity
 
 
-@dataclass
-class ClosureReport:
-    theory: str
-    hom: Dict[Tuple[int, int], List[Relation]]
+class ClosureReport(namedtuple("ClosureReport", "theory hom")):
+    """``hom`` maps (m, n) to the relations with m input and n output legs."""
+
+    __slots__ = ()
 
     def relations(self, m, n):
         return self.hom.get((m, n), [])
@@ -160,12 +160,11 @@ def enumerate_closure(theory=SPEK) -> ClosureReport:
 # Knowledge balance and algebraic law checks.
 
 
-@dataclass(frozen=True)
-class KbpVerdict:
-    state: Relation
-    global_ok: bool
-    subsystem_ok: Tuple[Tuple[Tuple[int, ...], bool], ...]
-    maximal_knowledge: bool
+class KbpVerdict(namedtuple("KbpVerdict", "state global_ok subsystem_ok "
+                                          "maximal_knowledge")):
+    """``subsystem_ok`` holds ``(legs, balanced)`` per proper marginal."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -225,12 +224,9 @@ def check_basis_structure(delta: Relation, eps: Relation) -> Dict[str, bool]:
     return laws
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    n_states: int
-    n_maps: int
-    bijective: bool
-    identity_matches_diagonal: bool
+class DualityReport(namedtuple("DualityReport", "n_states n_maps bijective "
+                                                "identity_matches_diagonal")):
+    __slots__ = ()
 
 
 def check_map_state_duality(theory=SPEK) -> DualityReport:
@@ -282,12 +278,11 @@ def check_map_state_duality(theory=SPEK) -> DualityReport:
     )
 
 
-@dataclass(frozen=True)
-class CardinalityVerdict:
-    theory: str
-    ok: bool
-    counts: Dict[int, List[int]]
-    spek_exact: Optional[bool]
+class CardinalityVerdict(namedtuple("CardinalityVerdict",
+                                    "theory ok counts spek_exact")):
+    """``counts`` maps each leg count to its sorted state cardinalities."""
+
+    __slots__ = ()
 
 
 def check_mspek_cardinalities(states_by_legs, theory=MSPEK):

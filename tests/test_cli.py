@@ -1,5 +1,3 @@
-import dataclasses
-import gc
 import json
 import os
 import subprocess
@@ -79,26 +77,32 @@ def test_eval_reads_past_a_byte_order_mark(tmp_path, capsys):
     assert out == read("eta.rel")
 
 
-def test_form_pauses_the_collector_and_restores_it(capsys, monkeypatch):
-    listing = sg.StateForm.to_text
-    seen = []
+def test_form_streams_without_listing_the_signatures(capsys, monkeypatch):
+    real, forms = sg.state_form, []
 
-    def to_text(form):
-        seen.append(gc.isenabled())
-        return listing(form)
+    def kept(d):
+        forms.append(real(d))
+        return forms[-1]
 
-    monkeypatch.setattr(sg.StateForm, "to_text", to_text)
-    collecting = gc.isenabled()
-    try:
-        for before in (True, False):
-            (gc.enable if before else gc.disable)()
-            for fmt in ("text", "jsonl"):
-                code, _, _ = run(capsys, "--format", fmt, "form",
-                                 golden("chain.spekd"))
-                assert code == 0 and gc.isenabled() == before
-    finally:
-        (gc.enable if collecting else gc.disable)()
-    assert seen == [False, False]
+    monkeypatch.setattr(cli.sg, "state_form", kept)
+    for fmt in ("text", "jsonl"):
+        code, out, _ = run(capsys, "--format", fmt, "form",
+                           golden("chain.spekd"))
+        form = forms[-1][0]
+        assert code == 0 and "signatures" not in form.__dict__
+        assert out.count("\n") == len(form.signatures) + len(form.system.rows)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are namedtuples: starting the program loads no
+    # dataclasses module, whose import pulls in inspect
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import spekcat.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_form_golden_outputs(capsys):
@@ -167,7 +171,7 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
 
     def corrupted(d):
         form, zd = real(d)
-        return dataclasses.replace(form, shift=form.shift ^ 1), zd
+        return form._replace(shift=form.shift ^ 1), zd
 
     monkeypatch.setattr(cli.sg, "state_form", corrupted)
     code, out, _ = run(capsys, "compare", golden("triangle.spekd"))

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import time
 
@@ -159,7 +158,7 @@ def test_duplication_refuses_many_internal_zones():
 def test_duplication_invariants_raise(monkeypatch):
     d = golden_diagram("chain")
     form, zd = sg.state_form(d)
-    doubled = dataclasses.replace(form, multiplicity=2 * form.multiplicity)
+    doubled = form._replace(multiplicity=2 * form.multiplicity)
     monkeypatch.setattr(sg, "state_form", lambda _: (doubled, zd))
     with pytest.raises(RuntimeError):
         sg.duplication_analysis(d)
@@ -269,6 +268,17 @@ def state_forms(draw):
 @given(state_forms())
 def test_expand_matches_reference_expansion(form):
     assert form.expand() == reference_expand(form)
+
+
+@settings(max_examples=400, deadline=None)
+@given(state_forms())
+def test_walk_lists_the_affine_space_in_sorted_order(form):
+    e = len(form.zone_legs)
+    words = ([] if form.shift is None
+             else sorted(form.shift ^ s for s in gf2.span(form.basis)))
+    assert list(form.walk()) == [
+        (tuple((w >> (e - 1 - i) & 1, w >> (2 * e - 1 - i) & 1)
+               for i in range(e)), form.multiplicity) for w in words]
 
 
 def test_expand_of_zero_leg_forms():
