@@ -265,9 +265,13 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (CapacityError, MemoryError) as exc:
+    except CapacityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError:
+        # reported below, once leaving this block has dropped the traceback
+        # and with it the frames that hold the work
+        pass
     except UnicodeEncodeError as exc:
         print("error: the output cannot be written as %s: %s"
               % (sys.stdout.encoding, exc), file=sys.stderr)
@@ -280,6 +284,8 @@ def main(argv=None):
     except OSError as exc:              # e.g. enumerate --out onto a file
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ENV
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

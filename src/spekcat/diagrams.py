@@ -6,13 +6,14 @@ slots are named ``in``, ``in2``, ... and output slots ``1``, ``2``, ...
 Wires are direction-free: the induced compact structure of the theories is
 the plain diagonal, so a wire means equality of its two port values, and
 bending a leg only moves it between the inputs and the outputs.  The port
-index, which says what each port is attached to, is the cached property
-``Diagram.ports``: built, and the diagram checked, on first access, or
-handed over by bending, which only moves legs.  Sigma normalisation looks
-ports up in its input's index and builds none for its output; zone
-decomposition reads each Sigma box's ends off its scan of the wires.
-Evaluation reduces a wire from a box to itself when it builds that box's
-factor.
+index is the cached property ``Diagram.ports``: it maps each port to the
+evaluator's variable there, ``("w", i)`` for wire i or ``("l", port)`` for
+an open leg, so it depends on neither the legs' order nor their direction.
+It is built, and the diagram checked, on first access; bending shares it
+unchanged.  Sigma normalisation looks ports up in its input's index and
+builds none for its output; zone decomposition reads each Sigma box's ends
+off its scan of the wires.  Evaluation reads its variables off the index,
+and reduces a wire from a box to itself when it builds that box's factor.
 """
 
 from __future__ import annotations
@@ -59,17 +60,13 @@ class Diagram(namedtuple("Diagram", "theory boxes wires legs",
     legs ``(Port, "in"|"out")``, in order."""
 
     @cached_property
-    def box_map(self) -> Dict[str, GeneratorId]:
-        """Box id -> generator (shared: do not modify)."""
-        return dict(self.boxes)
-
-    @cached_property
     def ports(self) -> Dict[Port, tuple]:
-        """The port index: what each port is attached to, ``("wire", i,
-        other)`` or ``("leg", k)`` (shared: do not modify).  Built, and the
-        diagram checked, on first access."""
+        """The port index: each port's variable in ``evaluate``, ``("w", i)``
+        for wire i or ``("l", port)`` for an open leg (shared: do not
+        modify).  Built, and the diagram checked, on first access; a bent
+        diagram shares it."""
         index = {}
-        box_map = self.box_map
+        box_map = dict(self.boxes)
         if len(box_map) != len(self.boxes):
             raise DiagramError("duplicate box id")
         for name, gen in self.boxes:
@@ -92,10 +89,10 @@ class Diagram(namedtuple("Diagram", "theory boxes wires legs",
         for i, (a, b) in enumerate(self.wires):
             if a == b:
                 raise DiagramError("wire from port %s.%s to itself" % a)
-            touch(a, "wire", ("wire", i, b))
-            touch(b, "wire", ("wire", i, a))
-        for k, (port, _) in enumerate(self.legs):
-            touch(port, "leg", ("leg", k))
+            touch(a, "wire", ("w", i))
+            touch(b, "wire", ("w", i))
+        for port, _ in self.legs:
+            touch(port, "leg", ("l", port))
         for name, gen in self.boxes:
             for slot in slots(gen):
                 if (name, slot) not in index:
@@ -250,14 +247,13 @@ def evaluate(d: Diagram, rng=None) -> Relation:
     the ceiling is read once per call.
     """
     ceiling = 2 * max_arity()
-    # variables: ("w", i) for wire i, ("l", k) for leg k
-    port_var = {port: (kind[0][0], kind[1]) for port, kind in d.ports.items()}
-    protected = {("l", k) for k in range(len(d.legs))}
+    ports = d.ports                     # port -> its variable
+    protected = {("l", port) for port, _ in d.legs}
 
     # factors by id; ids grow, so id order is the factor order
     factors = {}
     for name, gen in d.boxes:
-        vars = [port_var[name, s] for s in slots(gen)]
+        vars = [ports[name, s] for s in slots(gen)]
         rows = _box_rows(gen)
         if len(set(vars)) < len(vars):
             # wires from the box to itself: keep the rows that agree at both
@@ -325,8 +321,8 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         raise RuntimeError("internal variables were not eliminated: %s"
                            % sorted(set(final.vars) - protected))
     pos = {v: i for i, v in enumerate(final.vars)}
-    in_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "in"]
-    out_pos = [pos["l", k] for k, (_, dr) in enumerate(d.legs) if dr == "out"]
+    in_pos = [pos["l", p] for p, dr in d.legs if dr == "in"]
+    out_pos = [pos["l", p] for p, dr in d.legs if dr == "out"]
     base = BASE[d.theory]
     dom, cod = Space(base, len(in_pos)), Space(base, len(out_pos))
     ins, outs = _projection(in_pos), _projection(out_pos)
@@ -351,14 +347,13 @@ def _is_phased_box(gen: GeneratorId) -> bool:
 
 def _bend(d: Diagram, bent) -> Diagram:
     """``d`` with the open legs ``bent`` turned around and moved, in that
-    order, to the end of the leg list; each keeps its port."""
+    order, to the end of the leg list; each keeps its port, so the bent
+    diagram shares ``d``'s port index."""
     turn = {"in": "out", "out": "in"}
     legs = tuple([lg for k, lg in enumerate(d.legs) if k not in bent]
                  + [(d.legs[k][0], turn[d.legs[k][1]]) for k in bent])
-    ports = dict(d.ports)
-    ports.update((port, ("leg", k)) for k, (port, _) in enumerate(legs))
     nd = Diagram(d.theory, d.boxes, d.wires, legs)
-    nd.__dict__.update(box_map=d.box_map, ports=ports)
+    nd.__dict__["ports"] = d.ports
     return nd
 
 
@@ -393,8 +388,9 @@ def sigma_normalize(d: Diagram) -> Diagram:
     index = d.validate().ports
     if d.theory != SPEK:
         raise DiagramError("zone decomposition applies to Spek diagrams only")
-    boxes, wires, legs = dict(d.box_map), list(d.wires), list(d.legs)
-    held = {}           # port made or moved here -> ("wire", i) | ("leg", k)
+    boxes, wires, legs = dict(d.boxes), list(d.wires), list(d.legs)
+    leg_at = {port: k for k, (port, _) in enumerate(d.legs)}
+    held = {}           # port made or moved here -> its index entry
     names, free = set(boxes), {}     # removed names are not reused
 
     def add_box(stem, gen):
@@ -409,25 +405,26 @@ def sigma_normalize(d: Diagram) -> Diagram:
         return new
 
     def add_wire(a, b):
-        held[a] = held[b] = ("wire", len(wires))
+        held[a] = held[b] = ("w", len(wires))
         wires.append((a, b))
 
     def holder(port):
-        """The wire or leg at ``port``, and for a wire its other end."""
-        kind, i = held.get(port) or index[port][:2]
-        if kind == "leg":
-            return kind, i, None
-        a, b = wires[i]
-        return kind, i, b if a == port else a
+        """The index entry at ``port``, and for a wire its other end."""
+        entry = held.get(port) or index[port]
+        if entry[0] == "l":
+            return entry, None
+        a, b = wires[entry[1]]
+        return entry, b if a == port else a
 
     def reattach(port, new_port):
         """Move whatever was attached at ``port`` onto ``new_port``."""
-        kind, i, other = holder(port)
-        held[new_port] = (kind, i)
+        entry, other = holder(port)
+        held[new_port] = entry
         if other is None:
-            legs[i] = (new_port, legs[i][1])
+            k = leg_at[entry[1]]
+            legs[k] = (new_port, legs[k][1])
         else:
-            wires[i] = (other, new_port)
+            wires[entry[1]] = (other, new_port)
 
     # dissolve swap boxes into crossing connections
     for name, gen in d.boxes:
@@ -457,7 +454,7 @@ def sigma_normalize(d: Diagram) -> Diagram:
         if not _is_sigma(gen):
             continue
         for slot in ("in", "1"):
-            other = holder((name, slot))[2]
+            other = holder((name, slot))[1]
             if other is None or _is_sigma(boxes[other[0]]):
                 spacer = add_box("_i", GeneratorId("identity", SPEK))
                 reattach((name, slot), (spacer, "in"))
@@ -514,7 +511,7 @@ def _swap_bits(gen: GeneratorId) -> int:
 def zone_decompose(d: Diagram) -> ZoneDecomposition:
     """Split a Spek diagram into maximal phased zones linked by Sigma."""
     nd = sigma_normalize(d)
-    box_map = nd.box_map
+    box_map = dict(nd.boxes)
     phased = [name for name, gen in nd.boxes if not _is_sigma(gen)]
     for name in phased:
         if not _is_phased_box(box_map[name]):

@@ -27,6 +27,9 @@ class GeneratorId(namedtuple("GeneratorId", "tag theory perm")):
 
     __slots__ = ()
 
+    # namedtuple's _make, and _replace through it, would skip __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def __new__(cls, tag, theory=SPEK, perm=None):
         if theory not in THEORIES:
             raise TheoryError("unknown theory %r" % theory)

@@ -14,6 +14,9 @@ from .relations import II, IV, Relation
 class Permutation(namedtuple("Permutation", "base images")):
     """A bijection on {1..4} (base 4) or {0,1} (base 2), stored by images."""
 
+    # namedtuple's _make, and _replace through it, would skip __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def __new__(cls, base, images):
         self = super().__new__(cls, base, images)
         elems = self.elements()

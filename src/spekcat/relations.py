@@ -53,6 +53,9 @@ class Space(namedtuple("Space", "base arity")):
 
     __slots__ = ()
 
+    # namedtuple's _make, and _replace through it, would skip __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def __new__(cls, base=1, arity=0):
         if base not in (1, 2, 4):
             raise ValueError("base must be 1, 2 or 4, got %r" % (base,))

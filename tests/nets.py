@@ -94,7 +94,7 @@ def zone_profile(diagram, boxes):
     """(psi(0), psi(1)) of a zone, by counting swap shadows: 1 plus the
     number of its perm boxes that restrict to the two-level swap on the
     {1,2} plane (type 0) or the {3,4} plane (type 1), mod 2."""
-    box_map = diagram.box_map
+    box_map = dict(diagram.boxes)
     psi = []
     for side in ("12", "34"):
         swaps = 0

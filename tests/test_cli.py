@@ -224,6 +224,14 @@ def test_enumerate_out_onto_a_bad_path_is_refused_first(tmp_path, capsys,
     assert calls == []
 
 
+def test_out_of_memory_exits_with_the_capacity_code(capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "cmd_verify", exhaust)
+    code, out, err = run(capsys, "verify")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_enumerate_writes_the_one_system_closure_at_any_arity(tmp_path,
                                                              capsys):
     trees = []

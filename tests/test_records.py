@@ -81,6 +81,16 @@ def test_construction_checks_still_raise():
         GeneratorId("delta", perm=SIGMA)
 
 
+def test_make_and_replace_check_and_normalise():
+    assert Space(4, 1)._replace(arity=0) == Space()
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(4, (1, 2, 3, 4))._replace(images=(1, 1, 1, 1))
+    with pytest.raises(TheoryError, match="only a generator of MSpek"):
+        GeneratorId("delta")._replace(tag="bottom")
+    with pytest.raises(ValueError):
+        Space._make((3, 1))
+
+
 def test_cached_properties_are_computed_once(monkeypatch):
     d = golden_diagram("triangle")
     assert d.ports is d.ports
