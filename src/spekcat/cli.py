@@ -85,12 +85,16 @@ def cmd_form(args):
     return 0
 
 
-def _compare_one(d, label):
+def _compare_one(d, label, fmt):
     truth = dg.evaluate(dg.as_state(d))
     form, _ = sg.state_form(d)
     got = form.expand()
     if got == truth:
         return True
+    if fmt == "jsonl":
+        print(json.dumps({"mismatch": label, "evaluated": truth.to_text(),
+                          "closed_form": form.to_text()}))
+        return False
     print("MISMATCH %s" % label)
     print("evaluated:")
     print(truth.to_text(), end="")
@@ -104,11 +108,12 @@ def cmd_compare(args):
     ok = True
     for k in range(args.random):
         d = random_diagram(args.seed + k)
-        ok = _compare_one(d, "seed=%d" % (args.seed + k)) and ok
+        ok = _compare_one(d, "seed=%d" % (args.seed + k), args.format) and ok
     for d, path in files:
-        ok = _compare_one(d, path) and ok
+        ok = _compare_one(d, path, args.format) and ok
     if ok:
-        print("OK")
+        print(json.dumps({"result": "OK"}) if args.format == "jsonl"
+              else "OK")
     return 0 if ok else EXIT_MISMATCH
 
 
@@ -139,7 +144,10 @@ def cmd_enumerate(args):
                 path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.writelines(r.to_text() for r in hom)
-            print("closure report written to %s" % args.out)
+            if args.format == "jsonl":
+                print(json.dumps({"closure_report": args.out}))
+            else:
+                print("closure report written to %s" % args.out)
         return 0
     except BaseException:
         # a refused or failed run leaves none of the directories it made

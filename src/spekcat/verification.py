@@ -11,6 +11,7 @@ map-state duality.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import namedtuple
 from operator import itemgetter
 from typing import Dict
@@ -229,6 +230,50 @@ class DualityReport(namedtuple("DualityReport", "n_states n_maps bijective "
     __slots__ = ()
 
 
+def _matrix(r):
+    """A one-system map as a base x base boolean matrix in one int: bit
+    base*x + y is set when the x-th value relates to the y-th, values
+    counted from 0 in digit order."""
+    base, lo = r.dom.base, r.dom.digits().start
+    return sum(1 << base * (x - lo) + y - lo for (x,), (y,) in r.pairs)
+
+
+def _closed(maps, base):
+    """(composition, converse): whether the set ``maps`` of ``_matrix``
+    ints holds every composite f;g and every converse of its members.
+
+    The sorted maps are packed into one word, one field of 8 (HalfSpek)
+    or 16 bits per map.  Column y of every f at once, each entry moved to
+    the first bit of its row and times row y of g, is the part of every
+    f;g that passes through y, so base steps compose g after all maps.
+    base^2 shift, AND and OR steps transpose every field at once.
+    """
+    size = (base * base + 7) // 8           # bytes per field
+    fields = range(0, 8 * size * len(maps), 8 * size)
+    packed = sum(m << s for m, s in zip(sorted(maps), fields))
+    field_starts = sum(1 << s for s in fields)
+    row_starts = sum(field_starts << base * x for x in range(base))
+    cols = [packed >> y & row_starts for y in range(base)]
+    mask = (1 << base) - 1
+
+    def composites(g):
+        word = 0
+        for y, col in enumerate(cols):
+            word |= col * (g >> base * y & mask)
+        return word
+
+    def fields_of(words):
+        data = b"".join(w.to_bytes(size * len(maps), sys.byteorder)
+                        for w in words)
+        return memoryview(data).cast("BH"[size - 1])
+
+    converse = 0
+    for x, y in itertools.product(range(base), repeat=2):
+        converse |= (packed >> base * x + y & field_starts) << base * y + x
+    return (maps.issuperset(fields_of(map(composites, maps))),
+            maps.issuperset(fields_of([converse])))
+
+
 def check_map_state_duality(theory=SPEK) -> DualityReport:
     """The one-system maps, the two-leg states bent, as a dagger hom set.
 
@@ -238,42 +283,21 @@ def check_map_state_duality(theory=SPEK) -> DualityReport:
     every one-system generator and are closed under composition and
     converse, as the hom set of a category with a dagger must be.  The
     identity must occur once: the diagonal is the one state bent to it.  A
-    map is held as the bitmask of each input's images.
+    map is held as its boolean matrix in one int (``_matrix``), and
+    ``_closed`` checks every composite and converse on the maps packed
+    into one word.
     """
     hom = enumerate_closure(theory).relations(1, 1)
-    one = hom[0].dom
-    base = one.base
-    index = {d: i for i, d in enumerate(one.digits())}
-
-    def images(r):
-        out = [0] * base
-        for (x,), (y,) in r.pairs:
-            out[index[x]] |= 1 << index[y]
-        return tuple(out)
-
-    def unions(g):
-        """The union of g's images of each input set, by bitmask."""
-        table = [0]
-        for img in g:
-            table += [t | img for t in table]
-        return table
-
-    def converse(f):
-        return tuple(sum(1 << x for x, img in enumerate(f) if img >> y & 1)
-                     for y in range(base))
-
-    maps = [images(r) for r in hom]
+    maps = list(map(_matrix, hom))
     homset = set(maps)
-    ident = images(rel.identity(one))
-    needed = {ident} | {images(resolve(g)) for g in generator_set(theory)
+    ident = _matrix(rel.identity(hom[0].dom))
+    needed = {ident} | {_matrix(resolve(g)) for g in generator_set(theory)
                         if arity(g) == (1, 1)}
-    gets = [unions(g).__getitem__ for g in homset]
-    closed = all(converse(f) in homset for f in homset) and all(
-        tuple(map(get, f)) in homset for get in gets for f in homset)
     return DualityReport(
         n_states=len(hom) - 1,
         n_maps=len(homset) - 1,
-        bijective=len(homset) == len(maps) and needed <= homset and closed,
+        bijective=(len(homset) == len(maps) and needed <= homset
+                   and all(_closed(homset, hom[0].dom.base))),
         identity_matches_diagonal=maps.count(ident) == 1,
     )
 

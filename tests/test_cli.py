@@ -179,6 +179,33 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_jsonl_output_is_one_record_per_line(tmp_path, capsys, monkeypatch):
+    def records(*argv):
+        code, out, _ = run(capsys, "--format", "jsonl", *argv)
+        return code, [json.loads(line) for line in out.splitlines()]
+
+    report = str(tmp_path / "report")
+    code, got = records("enumerate", "--out", report)
+    assert code == 0 and got[-1] == {"closure_report": report}
+    paths = [golden("triangle.spekd"), golden("eta.spekd")]
+    assert records("compare", *paths) == (0, [{"result": "OK"}])
+
+    real = sg.state_form
+
+    def corrupted(d):
+        form, zd = real(d)
+        return form._replace(shift=form.shift ^ 1), zd
+
+    monkeypatch.setattr(cli.sg, "state_form", corrupted)
+    code, got = records("compare", *paths)
+    assert code == 4
+    assert [r["mismatch"] for r in got] == paths
+    for r, path in zip(got, paths):
+        d = cli.dg.parse(read(os.path.basename(path)))
+        assert r["evaluated"] == cli.dg.evaluate(cli.dg.as_state(d)).to_text()
+        assert r["closed_form"] == corrupted(d)[0].to_text()
+
+
 def test_enumerate_spek(capsys):
     code, out, _ = run(capsys, "enumerate", "--theory", "spek",
                        "--arity", "1")

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nets import golden_diagram
 from spekcat import diagrams as dg
@@ -205,6 +206,53 @@ def test_map_state_duality_catches_an_extra_state(monkeypatch):
         rep = vf.check_map_state_duality(theory)
         assert rep.n_maps == rep.n_states, theory
         assert not rep.bijective, theory
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_map_state_duality_catches_any_missing_state(theory, monkeypatch):
+    full = vf.enumerate_states(theory, 2)
+    for k in range(len(full[2])):
+        states = {**full, 2: full[2][:k] + full[2][k + 1:]}
+        monkeypatch.setattr(vf, "enumerate_states", lambda t, n: states)
+        assert not vf.check_map_state_duality(theory).bijective, k
+
+
+def closure(maps, compose, converse, limit=40):
+    """``maps`` closed under composition and/or converse, or as far as it
+    got once it holds more than ``limit`` maps."""
+    maps = set(maps)
+    while len(maps) <= limit:
+        more = set()
+        if compose:
+            more |= {f.then(g) for f in maps for g in maps}
+        if converse:
+            more |= {f.converse() for f in maps}
+        if more <= maps:
+            break
+        maps |= more
+    return maps
+
+
+@st.composite
+def one_system_maps(draw):
+    """A base and a set of relations on one system of that base, closed
+    under composition, converse, both or neither."""
+    base = draw(st.sampled_from([4, 2]))
+    one = Space(base, 1)
+    pairs = [((x,), (y,)) for x in one.digits() for y in one.digits()]
+    relation = st.frozensets(st.sampled_from(pairs)).map(
+        lambda ps: Relation(one, one, ps))
+    maps = draw(st.sets(relation, max_size=4))
+    return base, closure(maps, draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_system_maps())
+def test_packed_closure_matches_composing_each_pair(drawn):
+    base, maps = drawn
+    want = (all(f.then(g) in maps for f in maps for g in maps),
+            all(f.converse() in maps for f in maps))
+    assert vf._closed({vf._matrix(r) for r in maps}, base) == want
 
 
 def test_basis_structure_failure_case():
