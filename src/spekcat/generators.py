@@ -19,7 +19,14 @@ THEORIES = tuple(BASE)
 
 
 class TheoryError(ValueError):
-    """A generator was requested under a theory that does not contain it."""
+    """An unknown theory, or a generator requested under a theory that does
+    not contain it."""
+
+
+def check_theory(theory):
+    """Raise TheoryError unless ``theory`` is one of THEORIES."""
+    if theory not in THEORIES:
+        raise TheoryError("unknown theory %r" % theory)
 
 
 class GeneratorId(namedtuple("GeneratorId", "tag theory perm")):
@@ -31,8 +38,7 @@ class GeneratorId(namedtuple("GeneratorId", "tag theory perm")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, tag, theory=SPEK, perm=None):
-        if theory not in THEORIES:
-            raise TheoryError("unknown theory %r" % theory)
+        check_theory(theory)
         if tag in ("bottom", "bottom_dagger") and theory != MSPEK:
             raise TheoryError("%s is only a generator of MSpek" % tag)
         if tag == "perm":
@@ -129,8 +135,7 @@ def parse_generator_name(text: str, theory: str = SPEK) -> GeneratorId:
 
     Results are kept in a bounded cache: diagrams use few distinct names.
     """
-    if theory not in BASE:
-        raise TheoryError("unknown theory %r" % theory)
+    check_theory(theory)
     text = text.strip()
     if text.startswith("perm(") and text.endswith(")"):
         return GeneratorId("perm", theory,

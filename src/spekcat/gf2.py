@@ -41,6 +41,24 @@ def span(vectors) -> List[int]:
     return sums
 
 
+def kernel(reduced, ncols) -> List[int]:
+    """A kernel basis of reduced rows (each pivot in one row only) over
+    ncols columns: per free column f, f plus the pivots of the rows that
+    hold f."""
+    pivots = 0
+    for row in reduced:
+        pivots |= 1 << row.bit_length() - 1
+    basis = []
+    for f in range(ncols):
+        if not pivots >> f & 1:
+            vec = 1 << f
+            for row in reduced:
+                if row >> f & 1:
+                    vec |= 1 << row.bit_length() - 1
+            basis.append(vec)
+    return basis
+
+
 def solve(rows, rhs, ncols) -> Optional[Tuple[int, List[int]]]:
     """One solution of A x = b and a kernel basis of A, or None when A x = b
     has no solution.  The solutions are the particular one plus every sum
@@ -50,14 +68,5 @@ def solve(rows, rhs, ncols) -> Optional[Tuple[int, List[int]]]:
     reduced = rref([(r << 1) | (1 if b else 0) for r, b in zip(rows, rhs)])
     if reduced and reduced[-1] == 1:
         return None
-    pivots = {row.bit_length() - 2 for row in reduced}
     particular = sum((row & 1) << (row.bit_length() - 2) for row in reduced)
-    kernel = []
-    for f in range(ncols):
-        if f not in pivots:
-            vec = 1 << f
-            for row in reduced:
-                if row >> (f + 1) & 1:
-                    vec |= 1 << (row.bit_length() - 2)
-            kernel.append(vec)
-    return particular, kernel
+    return particular, kernel([row >> 1 for row in reduced], ncols)

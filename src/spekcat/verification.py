@@ -13,14 +13,14 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import namedtuple
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Dict
 
 from . import gf2
 from . import relations as rel
 from .diagrams import Diagram, bend_leg, evaluate, parse, slots
 from .generators import (BASE, HALFSPEK, MSPEK, SPEK, GeneratorId,
-                         arity, generator_set, resolve)
+                         arity, check_theory, generator_set, resolve)
 from .permutations import Z2_SWAP
 from .relations import CapacityError, Relation, Space, max_arity
 
@@ -114,15 +114,16 @@ def enumerate_states(theory=SPEK, max_legs=3):
     value vector c.  Value v of Spek and MSpek is the bits (p, q) =
     divmod(v - 1, 2), a HalfSpek value one bit; with leg 0 most significant
     a solution x is the index of its row in ``Space.tuples()`` order.  The
-    rows are reduced, so the particular solutions are the sums of their
-    pivots.  Returns a dict mapping the leg count to the list of states,
-    sorted by text.
+    rows come reduced, so nothing is eliminated: the kernel of A is read
+    off them (``gf2.kernel``), and the particular solutions are the sums of
+    their pivots.  Returns a dict mapping the leg count to the list of
+    states, sorted by text.
     """
+    check_theory(theory)
     base = BASE[theory]
     indices = {}
     for n, rows in _row_spaces(theory, max_legs):
-        _, kernel = gf2.solve(rows, [0] * len(rows), n * base // 2)
-        span = gf2.span(kernel)
+        span = gf2.span(gf2.kernel(rows, n * base // 2))
         indices.setdefault(n, []).extend(
             sorted(p ^ s for s in span)
             for p in gf2.span([1 << (r.bit_length() - 1) for r in rows]))
@@ -173,7 +174,9 @@ class KbpVerdict(namedtuple("KbpVerdict", "state global_ok subsystem_ok "
 
 
 def _balanced(count, n):
-    return count in {1 << k for k in range(n, 2 * n + 1)}
+    """Whether count is 2^k for some n <= k <= 2n: a power of two whose bit
+    length is n + 1 to 2n + 1."""
+    return not count & count - 1 and n < count.bit_length() <= 2 * n + 1
 
 
 def check_kbp(state: Relation) -> KbpVerdict:
@@ -186,13 +189,13 @@ def check_kbp(state: Relation) -> KbpVerdict:
         raise ValueError("expected a state (domain the unit)")
     n = state.cod.arity
     count = len(state.pairs)
-    rows = [row for _, row in state.pairs]
+    rows = [row for _, row in state.pairs] if n > 1 else ()
     verdicts = []
     for size in range(1, n):
-        for idx in itertools.combinations(range(n), size):
+        for idx, legs in zip(itertools.combinations(range(n), size),
+                             itertools.combinations(range(1, n + 1), size)):
             seen = len(set(map(itemgetter(*idx), rows)))
-            verdicts.append((tuple(i + 1 for i in idx),
-                             _balanced(seen, size)))
+            verdicts.append((legs, _balanced(seen, size)))
     return KbpVerdict(state, _balanced(count, n), tuple(verdicts),
                       count == 1 << n)
 
@@ -233,9 +236,29 @@ class DualityReport(namedtuple("DualityReport", "n_states n_maps bijective "
 def _matrix(r):
     """A one-system map as a base x base boolean matrix in one int: bit
     base*x + y is set when the x-th value relates to the y-th, values
-    counted from 0 in digit order."""
-    base, lo = r.dom.base, r.dom.digits().start
-    return sum(1 << base * (x - lo) + y - lo for (x,), (y,) in r.pairs)
+    counted from 0 in digit order.  A two-leg state is read as the map it
+    bends to: its row (x, y) is the pair x ~ y."""
+    base = r.cod.base
+    offset = (base + 1) * r.cod.digits().start
+    return sum([1 << base * x + y - offset
+                for x, y in itertools.starmap(add, r.pairs)])
+
+
+def _bent_maps(theory):
+    """The ``_matrix`` of each two-leg state bent, in state order, then the
+    empty map's, 0: the one-system hom set by map-state duality."""
+    return [*map(_matrix, enumerate_states(theory, 2)[2]), 0]
+
+
+def _generator_matrices(theory):
+    """The matrices the one-system hom set must hold: the identity's, then
+    each one-system generator's.  Those generators are the permutations,
+    and a permutation's matrix is its graph."""
+    digits = Space(BASE[theory], 1).digits()     # the identity's images
+    graphs = [digits] + [g.perm.images for g in generator_set(theory)
+                         if arity(g) == (1, 1)]
+    return [sum(1 << len(digits) * x + y - digits.start
+                for x, y in enumerate(images)) for images in graphs]
 
 
 def _closed(maps, base):
@@ -277,28 +300,26 @@ def _closed(maps, base):
 def check_map_state_duality(theory=SPEK) -> DualityReport:
     """The one-system maps, the two-leg states bent, as a dagger hom set.
 
-    Reads the maps off ``enumerate_closure(theory).relations(1, 1)``: the
-    empty map and one bent map per two-leg state.  ``bijective`` holds when
-    no two of them are the same map, and the maps hold the identity and
-    every one-system generator and are closed under composition and
-    converse, as the hom set of a category with a dagger must be.  The
-    identity must occur once: the diagonal is the one state bent to it.  A
-    map is held as its boolean matrix in one int (``_matrix``), and
+    A map is held as its boolean matrix in one int (``_matrix``), read
+    straight off the rows of a two-leg state from ``enumerate_states``:
+    the maps are one per two-leg state and the empty map (``_bent_maps``).
+    ``bijective`` holds when no two of them are the same map, and the maps
+    hold the identity and every one-system generator
+    (``_generator_matrices``) and are closed under composition and
+    converse, as the hom set of a category with a dagger must be;
     ``_closed`` checks every composite and converse on the maps packed
-    into one word.
+    into one word.  The identity must occur once: the diagonal is the one
+    state bent to it.
     """
-    hom = enumerate_closure(theory).relations(1, 1)
-    maps = list(map(_matrix, hom))
+    maps = _bent_maps(theory)
     homset = set(maps)
-    ident = _matrix(rel.identity(hom[0].dom))
-    needed = {ident} | {_matrix(resolve(g)) for g in generator_set(theory)
-                        if arity(g) == (1, 1)}
+    needed = _generator_matrices(theory)
     return DualityReport(
-        n_states=len(hom) - 1,
+        n_states=len(maps) - 1,
         n_maps=len(homset) - 1,
-        bijective=(len(homset) == len(maps) and needed <= homset
-                   and all(_closed(homset, hom[0].dom.base))),
-        identity_matches_diagonal=maps.count(ident) == 1,
+        bijective=(len(homset) == len(maps) and homset.issuperset(needed)
+                   and all(_closed(homset, BASE[theory]))),
+        identity_matches_diagonal=maps.count(needed[0]) == 1,
     )
 
 
@@ -325,6 +346,7 @@ def closed_form_counts(theory=SPEK, max_legs=3):
     Spek), of which there are prod_{i<k} (4^(n-i) - 1) / (2^(i+1) - 1), or
     for HalfSpek on each of the S(n, k) partitions of the legs into k
     blocks (S(n, k) the Stirling numbers of the second kind)."""
+    check_theory(theory)
     counts, stirling = {}, [1]          # S(n, k) for k = 0..n, from n = 0
     for n in range(1, max_legs + 1):
         stirling = [k * a + b for k, (a, b) in

@@ -101,3 +101,38 @@ def test_solve_matches_two_eliminations_on_random_systems():
     assert {(False, True, True), (False, True, False), (True, True, False),
             (False, False, True), (False, False, False),
             (True, False, False)} <= outcomes
+
+
+def test_kernel_of_reduced_rows_is_a_null_space_basis():
+    rng = random.Random(2)
+    ranks = set()
+    for _ in range(2000):
+        ncols = rng.randint(0, 10)
+        reduced = gf2.rref(random_rows(rng, rng.randint(0, 12), ncols))
+        rng.shuffle(reduced)            # the order of the rows is free
+        kernel = gf2.kernel(reduced, ncols)
+        assert all(parity(r & k) == 0 for r in reduced for k in kernel)
+        assert len(gf2.rref(kernel)) == len(kernel)
+        assert len(kernel) == ncols - len(reduced)
+        ranks.add((len(reduced), len(kernel)))
+    assert {(0, 0), (0, 10), (10, 0)} <= ranks
+
+
+def test_solve_matches_brute_force_on_random_systems():
+    rng = random.Random(3)
+    for _ in range(500):
+        ncols = rng.randint(0, 10)
+        rows = random_rows(rng, rng.randint(0, 12), ncols)
+        rhs = [rng.getrandbits(1) for _ in rows]
+        if rng.random() < 0.5:       # consistent: the image of some x
+            x = rng.getrandbits(ncols) if ncols else 0
+            rhs = [parity(r & x) for r in rows]
+        want = {x for x in range(1 << ncols)
+                if [parity(r & x) for r in rows] == rhs}
+        got = gf2.solve(rows, rhs, ncols)
+        if got is None:
+            assert not want
+        else:
+            particular, kernel = got
+            assert {particular ^ s for s in gf2.span(kernel)} == want
+            assert len(want) == 1 << len(kernel)

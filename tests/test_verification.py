@@ -11,8 +11,8 @@ from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import verification as vf
 from spekcat.generate import random_diagram
-from spekcat.generators import (BASE, THEORIES, GeneratorId, generator_set,
-                                resolve)
+from spekcat.generators import (BASE, THEORIES, GeneratorId, TheoryError,
+                                arity, generator_set, resolve)
 from spekcat.permutations import s4
 from spekcat.relations import I, CapacityError, Relation, Space
 
@@ -114,17 +114,27 @@ def test_kbp_universality(spek_states_3, mspek_states_3):
                 assert vf.check_kbp(s).ok
 
 
+def balanced(count, n):
+    """Knowledge balance by its definition: count is 2^k, n <= k <= 2n."""
+    return count in {2 ** k for k in range(n, 2 * n + 1)}
+
+
+def test_balance_bit_test_matches_the_definition():
+    for n in range(7):
+        for count in range(2 ** (2 * n + 1) + 2):
+            assert vf._balanced(count, n) is balanced(count, n), (count, n)
+
+
 def kbp_reference(state):
     """``check_kbp`` by its definition: build each proper marginal with
     ``Relation.marginal`` and read its size."""
     n = state.cod.arity
     count = len(state.pairs)
-    verdicts = tuple((keep, vf._balanced(len(state.marginal(keep).pairs),
-                                         size))
+    verdicts = tuple((keep, balanced(len(state.marginal(keep).pairs), size))
                      for size in range(1, n)
                      for keep in itertools.combinations(range(1, n + 1),
                                                         size))
-    return vf.KbpVerdict(state, vf._balanced(count, n), verdicts,
+    return vf.KbpVerdict(state, balanced(count, n), verdicts,
                          count == 1 << n)
 
 
@@ -215,6 +225,39 @@ def test_map_state_duality_catches_any_missing_state(theory, monkeypatch):
         states = {**full, 2: full[2][:k] + full[2][k + 1:]}
         monkeypatch.setattr(vf, "enumerate_states", lambda t, n: states)
         assert not vf.check_map_state_duality(theory).bijective, k
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_duality_reads_the_closure_maps_off_the_states(theory):
+    # the two-leg states bent by _matrix are the closure's (1, 1) hom set
+    hom = vf.enumerate_closure(theory).relations(1, 1)
+    assert vf._bent_maps(theory) == [vf._matrix(r) for r in hom]
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_duality_needs_the_identity_and_the_one_system_generators(theory):
+    one = Space(BASE[theory], 1)
+    want = [vf._matrix(rel.identity(one))] + [
+        vf._matrix(resolve(g)) for g in generator_set(theory)
+        if arity(g) == (1, 1)]
+    assert vf._generator_matrices(theory) == want
+    assert len(want) == {"spek": 25, "mspek": 25, "halfspek": 3}[theory]
+
+
+@pytest.mark.parametrize("name", ["Spek", "spekk", "", "MSPEK"])
+def test_unknown_theories_are_refused(name, monkeypatch):
+    def walk(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(vf, "_isotropic", walk)
+    monkeypatch.setattr(vf, "_partitions", walk)
+    for call in (lambda: vf.count_states(name, 2),
+                 lambda: vf.closed_form_counts(name, 2),
+                 lambda: vf.enumerate_states(name, 2),
+                 lambda: vf.enumerate_closure(name),
+                 lambda: vf.check_map_state_duality(name)):
+        with pytest.raises(TheoryError, match="unknown theory"):
+            call()
 
 
 def closure(maps, compose, converse, limit=40):
