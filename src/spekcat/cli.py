@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -12,8 +11,11 @@ from . import diagrams as dg
 from . import signatures as sg
 from . import verification as vf
 from .generators import HALFSPEK, MSPEK, SPEK, GeneratorId, resolve
-from .generate import random_diagram
 from .relations import CapacityError, max_arity
+
+# json (jsonl output only) and the random diagram generator (compare
+# --random only) are imported where they are used, so that a text run
+# starts without them.
 
 EXIT_PARSE = 1
 EXIT_CAPACITY = 2
@@ -61,6 +63,7 @@ def _read_spek_diagram(path):
 def cmd_eval(args):
     r = dg.evaluate(_read_diagram(args.path))
     if args.format == "jsonl":
+        import json
         for a, b in sorted(r.pairs):
             print(json.dumps({"in": list(a), "out": list(b)}))
     else:
@@ -72,6 +75,7 @@ def cmd_form(args):
     form, _ = sg.state_form(_read_spek_diagram(args.path))
     lines = list(filter(None, form.system.to_text().splitlines()))
     if args.format == "jsonl":
+        import json
         for sig, count in form.walk():
             print(json.dumps({"signature": [[p, t] for p, t in sig],
                               "count": count}))
@@ -85,15 +89,17 @@ def cmd_form(args):
     return 0
 
 
-def _compare_one(d, label, fmt):
+def _compare_one(d, label, dumps):
+    """Whether d's closed form expands to its evaluated state; a mismatch
+    is printed as a jsonl record by ``dumps``, or as text without it."""
     truth = dg.evaluate(dg.as_state(d))
     form, _ = sg.state_form(d)
     got = form.expand()
     if got == truth:
         return True
-    if fmt == "jsonl":
-        print(json.dumps({"mismatch": label, "evaluated": truth.to_text(),
-                          "closed_form": form.to_text()}))
+    if dumps:
+        print(dumps({"mismatch": label, "evaluated": truth.to_text(),
+                     "closed_form": form.to_text()}))
         return False
     print("MISMATCH %s" % label)
     print("evaluated:")
@@ -105,19 +111,25 @@ def _compare_one(d, label, fmt):
 
 def cmd_compare(args):
     files = [(_read_spek_diagram(path), path) for path in args.paths]
+    dumps = None
+    if args.format == "jsonl":
+        from json import dumps
+    if args.random:
+        from .generate import random_diagram
     ok = True
     for k in range(args.random):
         d = random_diagram(args.seed + k)
-        ok = _compare_one(d, "seed=%d" % (args.seed + k), args.format) and ok
+        ok = _compare_one(d, "seed=%d" % (args.seed + k), dumps) and ok
     for d, path in files:
-        ok = _compare_one(d, path, args.format) and ok
+        ok = _compare_one(d, path, dumps) and ok
     if ok:
-        print(json.dumps({"result": "OK"}) if args.format == "jsonl"
-              else "OK")
+        print(dumps({"result": "OK"}) if dumps else "OK")
     return 0 if ok else EXIT_MISMATCH
 
 
 def cmd_enumerate(args):
+    if args.format == "jsonl":
+        import json
     made = None         # the outermost directory this run creates
     if args.out:
         head = os.path.abspath(args.out)
@@ -211,6 +223,8 @@ def cmd_verify(args):
     suites = {"kbp", "laws", "duality", "cardinality"} \
         if args.suite == "all" else {args.suite}
     lines = _verify_lines(suites, args.arity)
+    if args.format == "jsonl":
+        import json
     ok = True
     for status, name, detail in lines:
         ok = ok and status == "PASS"

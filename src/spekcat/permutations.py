@@ -137,7 +137,10 @@ def z2():
 
 
 def phased_permutations():
-    return [p for p in s4() if p.is_phased]
+    """The four permutations that keep {1,2} and {3,4} setwise, sorted by
+    image tuple."""
+    return [Permutation(4, low + high)
+            for low in ((1, 2), (2, 1)) for high in ((3, 4), (4, 3))]
 
 
 @lru_cache(maxsize=1)
@@ -147,21 +150,24 @@ def _sigma_table():
     Ranking: fewest Sigma factors, then shortest word, then lexicographic on
     the factor names.  Appending a letter keeps two words' order, so minimal
     words have minimal prefixes, and a best-first search over the
-    24-element Cayley graph finds them.
+    24-element Cayley graph finds them.  The search composes image tuples
+    (p then f is x -> f(p(x))); the 24 ``Permutation`` keys are built once,
+    at the end.
     """
-    alphabet = [(f, f.name, f == SIGMA) for f in
+    alphabet = [(f, f.images, f.name, f == SIGMA) for f in
                 sorted(phased_permutations(), key=lambda p: p.name) + [SIGMA]]
     best = {}
-    frontier = [((0, 0, ()), IDENTITY_4, ())]
+    frontier = [((0, 0, ()), IDENTITY_4.images, ())]
     while frontier:
         (sigmas, length, names), p, word = heapq.heappop(frontier)
         if p not in best:
             best[p] = word
-            for f, name, sigma in alphabet:
+            for f, images, name, sigma in alphabet:
                 heapq.heappush(frontier, ((sigmas + sigma, length + 1,
                                            names + (name,)),
-                                          p.then(f), word + (f,)))
-    return best
+                                          tuple(images[x - 1] for x in p),
+                                          word + (f,)))
+    return {Permutation(4, p): word for p, word in best.items()}
 
 
 def sigma_decompose(p: Permutation) -> Tuple[Permutation, ...]:

@@ -28,7 +28,8 @@ def max_arity() -> int:
 
     SPEK_MAX_CELLS gives the ceiling as a cell count: the largest arity
     with 4**arity cells at most, for every theory, HalfSpek's base-2
-    carrier included.  Unset, the ceiling is arity 10 per side.
+    carrier included.  Unset, the ceiling is arity 10 per side.  A value
+    that is not a non-negative integer raises ``ValueError``.
     """
     text = os.environ.get("SPEK_MAX_CELLS")
     if text is None:
@@ -38,6 +39,9 @@ def max_arity() -> int:
     except ValueError:
         raise ValueError("SPEK_MAX_CELLS must be an integer, got %r"
                          % text) from None
+    if cells < 0:
+        raise ValueError("SPEK_MAX_CELLS must not be negative, got %r"
+                         % text)
     arity = 0
     while 4 ** (arity + 1) <= cells:
         arity += 1

@@ -20,7 +20,7 @@ from . import gf2
 from . import relations as rel
 from .diagrams import Diagram, bend_leg, evaluate, parse, slots
 from .generators import (BASE, HALFSPEK, MSPEK, SPEK, GeneratorId,
-                         arity, check_theory, generator_set, resolve)
+                         arity, check_theory, resolve)
 from .permutations import Z2_SWAP
 from .relations import CapacityError, Relation, Space, max_arity
 
@@ -253,10 +253,10 @@ def _bent_maps(theory):
 def _generator_matrices(theory):
     """The matrices the one-system hom set must hold: the identity's, then
     each one-system generator's.  Those generators are the permutations,
-    and a permutation's matrix is its graph."""
+    in the order of ``generator_set`` (by image tuple), and a
+    permutation's matrix is its graph."""
     digits = Space(BASE[theory], 1).digits()     # the identity's images
-    graphs = [digits] + [g.perm.images for g in generator_set(theory)
-                         if arity(g) == (1, 1)]
+    graphs = [digits] + sorted(itertools.permutations(digits))
     return [sum(1 << len(digits) * x + y - digits.start
                 for x, y in enumerate(images)) for images in graphs]
 

@@ -8,7 +8,7 @@ import pytest
 from spekcat import cli
 from spekcat import signatures as sg
 from spekcat import verification as vf
-from spekcat.relations import Relation
+from spekcat.relations import Relation, max_arity
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -103,6 +103,46 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", probe, src],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_text_start_loads_neither_json_nor_the_generator():
+    # json is imported for jsonl output only and the random diagram
+    # generator for compare --random only; verification stays eager.
+    # Modules loaded before the import (e.g. by site) do not count.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "before = set(sys.modules); import spekcat.cli; "
+             "print(sorted({'json', 'spekcat.generate', "
+             "'spekcat.verification'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "['spekcat.verification']\n"
+
+
+# the command line program run as by -m, from src/, in an interpreter
+# that has imported nothing else: json is not loaded beforehand
+FRESH_CLI = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+             "runpy.run_module('spekcat.cli', run_name='__main__', "
+             "alter_sys=True)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", golden("eta.spekd")],
+    ["form", golden("triangle_internalized.spekd")],
+    ["compare", golden("triangle.spekd")],
+    ["compare", "--random", "3"],
+    ["enumerate", "--arity", "1"],
+    ["verify", "--suite", "laws"],
+])
+def test_jsonl_from_a_fresh_interpreter(argv, capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", FRESH_CLI, src, "--format", "jsonl"]
+        + argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(json.loads(line) for line in lines)
+    assert run(capsys, "--format", "jsonl", *argv) == (0, proc.stdout, "")
 
 
 def test_form_golden_outputs(capsys):
@@ -444,6 +484,18 @@ def test_bad_max_cells_is_reported(capsys, monkeypatch):
     code, out, err = run(capsys, "eval", golden("eta.spekd"))
     assert code == 6 and out == ""
     assert err == "error: SPEK_MAX_CELLS must be an integer, got 'abc'\n"
+
+
+def test_negative_max_cells_is_an_environment_error(capsys, monkeypatch):
+    # refused like a non-integer, not read as an arity-0 ceiling that
+    # blames the diagram with the capacity code
+    monkeypatch.setenv("SPEK_MAX_CELLS", "-1")
+    code, out, err = run(capsys, "eval", golden("eta.spekd"))
+    assert code == 6 and out == ""
+    assert err == "error: SPEK_MAX_CELLS must not be negative, got '-1'\n"
+    for cells in ("0", "-0", "3"):
+        monkeypatch.setenv("SPEK_MAX_CELLS", cells)
+        assert max_arity() == 0
 
 
 def test_usage_errors_have_their_own_code(capsys):
