@@ -70,8 +70,8 @@ class Diagram(namedtuple("Diagram", "theory boxes wires legs",
         if len(box_map) != len(self.boxes):
             raise DiagramError("duplicate box id")
         for name, gen in self.boxes:
-            if "." in name:
-                raise DiagramError("box id %r may not contain '.'" % name)
+            if not name or "." in name:
+                raise DiagramError("box id %r is empty or contains '.'" % name)
             if gen.theory != self.theory:
                 raise DiagramError("box %s uses theory %s in a %s diagram"
                                    % (name, gen.theory, self.theory))
@@ -235,16 +235,15 @@ def _join(f1: _Factor, f2: _Factor) -> _Factor:
     return _Factor(vars, rows)
 
 
-def evaluate(d: Diagram, rng=None) -> Relation:
+def evaluate(d: Diagram) -> Relation:
     """The relation a diagram denotes; independent of contraction order.
 
-    Greedy schedule on the multigraph of boxes and wires: of the factor
-    pairs linked by a wire, join the one with the narrowest result, ties
-    to the earliest pair in factor order (``rng`` picks among all
-    candidates instead).  A join contracts the pair into one node, whose
-    wire counts are the sums of theirs.  A join whose operands hold more
-    than twice ``max_arity()`` distinct variables raises ``CapacityError``;
-    the ceiling is read once per call.
+    One greedy schedule on the multigraph of boxes and wires: of the
+    factor pairs linked by a wire, join the one with the narrowest result,
+    ties to the earliest pair in factor order.  A join contracts the pair
+    into one node, whose wire counts are the sums of theirs.  A join whose
+    operands hold more than twice ``max_arity()`` distinct variables
+    raises ``CapacityError``; the ceiling is read once per call.
     """
     ceiling = 2 * max_arity()
     ports = d.ports                     # port -> its variable
@@ -278,7 +277,7 @@ def evaluate(d: Diagram, rng=None) -> Relation:
 
     # A variable is a wire (two ports) or a leg (one port): at most two
     # factors hold it, and one two factors share dies with their join.  So
-    # a pair's width is its two widths less twice its wire count.
+    # a pair's join is as wide as its two factors less twice its wire count.
     box_id = {name: i for i, (name, _) in enumerate(d.boxes)}
     links = {i: {} for i in factors}     # i -> {j: wires between i and j}
     for (a, _), (b, _) in d.wires:
@@ -286,20 +285,16 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         if i != j:               # self-wires are reduced in their factor
             links[i][j] = links[j][i] = links[i].get(j, 0) + 1
 
-    # (i, j), i < j, linked by a wire -> the width of their join
-    widths = {(i, j): len(factors[i].vars) + len(factors[j].vars) - 2 * n
-              for i, row in links.items() for j, n in row.items() if i < j}
-    # a join's node is new, so a pair's width is set once: skip gone pairs
-    heap = sorted((w, i, j) for (i, j), w in widths.items())
+    # (width of the join, i, j), i < j, for factors linked by a wire.  A
+    # join's node is new and a factor changes only by being joined, so an
+    # entry is current while both its factors are: skip the others.
+    heap = sorted((len(factors[i].vars) + len(factors[j].vars) - 2 * n, i, j)
+                  for i, row in links.items() for j, n in row.items() if i < j)
 
-    while widths:
-        if rng is None:
-            _, i, j = heapq.heappop(heap)
-            if (i, j) not in widths:
-                continue
-        else:
-            _, i, j = rng.choice(sorted((w, i, j)
-                                        for (i, j), w in widths.items()))
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if i not in factors or j not in factors:
+            continue
         f = join(factors.pop(i), factors.pop(j), links[i][j])
         new = next(ids)
         factors[new] = f
@@ -307,13 +302,12 @@ def evaluate(d: Diagram, rng=None) -> Relation:
         for old in (i, j):
             for m, n in links.pop(old).items():
                 del links[m][old]
-                del widths[(m, old) if m < old else (old, m)]
                 if m != j:
                     merged[m] = merged.get(m, 0) + n
         for m, n in merged.items():
             links[m][new] = n
-            widths[m, new] = w = len(factors[m].vars) + len(f.vars) - 2 * n
-            heapq.heappush(heap, (w, m, new))
+            heapq.heappush(heap, (len(factors[m].vars) + len(f.vars) - 2 * n,
+                                  m, new))
     final, *rest = factors.values()
     for f in rest:               # disconnected remainder: tensor it together
         final = join(final, f, 0)

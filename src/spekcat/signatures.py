@@ -88,7 +88,12 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
         ``basis``, a signature's pivot bits say which rows it adds, so
         counting over the rows, the highest pivot most significant, walks
         the signatures in sorted order; each step adds the rows whose
-        count bits flip."""
+        count bits flip.  A rank above twice ``max_arity()``, expand's leg
+        ceiling, raises ``CapacityError`` before the first signature."""
+        ceiling = 2 * max_arity()
+        if len(self.basis) > ceiling:
+            raise CapacityError("a form of 2^%d signatures exceeds the "
+                                "ceiling of 2^%d" % (len(self.basis), ceiling))
         if self.shift is None:
             return
         w = self.shift
@@ -174,8 +179,9 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
     diagram's state under map-state duality.  Its system has one equation
     per internal zone: a leg-free zone survives contraction against the
     Even selection of the counit, so its parity map is pinned to 1.  The
-    form holds its 2^rank signatures as an affine space and lists none; one
-    whose rank exceeds twice ``max_arity()`` is refused (``CapacityError``).
+    form holds its 2^rank signatures as an affine space and lists none, so
+    its cost is polynomial at any rank; ``StateForm.walk`` refuses to list
+    more than 2^(2 ``max_arity()``).
     """
     zd = zone_decompose(as_state(d))
     maps, internal, external = zd.parity, zd.internal_zones, zd.external_zones
@@ -199,10 +205,6 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
         # the image is pack(particular) plus the span of the kernel's images
         # under the map's linear part
         basis = tuple(gf2.rref([pack(k) ^ pack(0) for k in kernel]))
-        ceiling = 2 * max_arity()
-        if len(basis) > ceiling:
-            raise CapacityError("a form of 2^%d signatures exceeds the "
-                                "ceiling of 2^%d" % (len(basis), ceiling))
         shift = pack(particular)
         multiplicity = 1 << (len(kernel) - len(basis))
     return StateForm(tuple(len(zd.zones[i].legs) for i in external),

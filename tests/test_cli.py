@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from nets import chain
 from spekcat import cli
 from spekcat import signatures as sg
 from spekcat import verification as vf
@@ -162,6 +163,18 @@ def test_form_empty(capsys):
     code, out, _ = run(capsys, "form", golden("empty_state.spekd"))
     assert code == 0
     assert out.splitlines()[0] == "EMPTY"
+
+
+def test_form_refuses_before_it_prints(tmp_path, capsys, monkeypatch):
+    # 2^21 and 2^200 signatures: over the ceiling of 2^20, in either format
+    monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
+    for n in (21, 200):
+        path = tmp_path / ("chain%d.spekd" % n)
+        path.write_text(chain(n))
+        for fmt in ("text", "jsonl"):
+            code, out, err = run(capsys, "--format", fmt, "form", str(path))
+            assert (code, out) == (2, ""), (n, fmt)
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_form_rejects_mspek(tmp_path, capsys):

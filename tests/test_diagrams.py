@@ -7,8 +7,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from nets import (chain, chain_int, fan, golden_diagram, odd_adjacency,
-                  reference_parity)
+from nets import (GOLDEN, chain, chain_int, fan, golden_diagram,
+                  odd_adjacency, reference_parity)
 from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import signatures as sg
@@ -40,6 +40,8 @@ def test_parse_errors_carry_line_numbers():
         dg.parse("box e: eps+\n")          # dangling port
     with pytest.raises(dg.DiagramError):
         dg.parse("box e: eps+\nout e.1 e.1\n")
+    with pytest.raises(dg.DiagramError, match="empty"):
+        dg.parse("box : eps+\nout .1\n")        # empty box id
 
 
 def test_evaluate_eta_is_diagonal():
@@ -64,12 +66,46 @@ def test_evaluate_sigma_loop_matches_hand_contraction():
     assert r == rel.scalar(True)
 
 
-def test_contraction_order_independent():
-    for seed in (0, 1, 2):
-        d = random_diagram(seed)
-        base = dg.evaluate(d)
-        for sched in range(3):
-            assert dg.evaluate(d, random.Random(sched)) == base
+def shuffled(d, k):
+    """``d`` with its boxes, its wires and each wire's two ends in an order
+    drawn by ``random.Random(k)``; the legs, and so the relation, keep
+    theirs."""
+    r = random.Random(k)
+    boxes = r.sample(d.boxes, len(d.boxes))
+    wires = [tuple(r.sample(w, 2)) for w in r.sample(d.wires, len(d.wires))]
+    return dg.Diagram(d.theory, tuple(boxes), tuple(wires), d.legs).validate()
+
+
+def test_contraction_order_independent(monkeypatch):
+    # the schedule breaks ties by box order, so a shuffle can change the
+    # joins it makes; every order must give the same relation
+    joins, ports = [], {}
+
+    def recording_join(f1, f2, join=dg._join):
+        # a join as its two factors' variables, each named by its ports
+        joins.append({frozenset(ports[v] for v in f.vars) for f in (f1, f2)})
+        return join(f1, f2)
+
+    def run(d):
+        ports.clear()
+        for port, v in d.ports.items():
+            ports[v] = ports.get(v, frozenset()) | {port}
+        joins.clear()
+        return dg.evaluate(d), list(joins)
+
+    monkeypatch.setattr(dg, "_join", recording_join)
+    cases = [random_diagram(seed) for seed in range(50)]
+    cases += [golden_diagram(name[:-len(".spekd")])
+              for name in sorted(os.listdir(GOLDEN))
+              if name.endswith(".spekd")]
+    changed = 0
+    for d in cases:
+        base, base_joins = run(d)
+        for k in range(10):
+            r, k_joins = run(shuffled(d, k))
+            assert r == base
+            changed += k_joins != base_joins
+    assert changed > 0, "no shuffle changed the schedule"
 
 
 def cup_bend(d, *ks):
@@ -267,41 +303,29 @@ def test_max_cells_is_read_on_every_evaluate(monkeypatch):
 
 
 # Seeds in range(300) whose random_diagram state raises CapacityError at
-# SPEK_MAX_CELLS=16 (intermediates wider than 4 variables), under the
-# default schedule and under rng=random.Random(seed).  Recorded from the
-# scheduler that rescanned every factor at each step; the incremental one
-# must choose the same pairs.
+# SPEK_MAX_CELLS=16 (intermediates wider than 4 variables) under the greedy
+# schedule.  Recorded from the scheduler that rescanned every factor at each
+# step; the incremental one must choose the same pairs.
 CAPACITY_SEEDS = (
     9, 25, 33, 39, 41, 47, 50, 64, 72, 75, 78, 81, 83, 85, 92, 99, 100, 102,
     103, 111, 116, 117, 125, 129, 134, 136, 146, 148, 155, 163, 170, 177,
     179, 188, 208, 211, 221, 226, 229, 233, 234, 235, 239, 251, 256, 258,
     262, 263, 277, 279, 285, 292, 299)
-CAPACITY_SEEDS_RNG = (
-    9, 11, 24, 25, 27, 28, 33, 36, 39, 40, 41, 42, 44, 47, 50, 51, 59, 64,
-    72, 74, 75, 77, 78, 81, 82, 83, 84, 85, 88, 90, 92, 93, 99, 100, 102,
-    103, 106, 109, 111, 112, 114, 115, 116, 117, 119, 120, 125, 129, 134,
-    136, 140, 146, 148, 150, 152, 154, 155, 156, 157, 162, 163, 170, 171,
-    172, 173, 177, 179, 182, 188, 189, 191, 193, 202, 205, 207, 208, 210,
-    211, 217, 221, 225, 226, 227, 228, 229, 233, 234, 235, 237, 238, 239,
-    244, 247, 248, 251, 253, 256, 258, 262, 263, 264, 268, 270, 277, 279,
-    285, 291, 292, 297, 299)
 
 
 def test_capacity_errors_follow_the_schedule(monkeypatch):
     monkeypatch.setenv("SPEK_MAX_CELLS", "16")
-    for schedule, pinned in ((lambda seed: None, CAPACITY_SEEDS),
-                             (random.Random, CAPACITY_SEEDS_RNG)):
-        raised = []
-        for seed in range(300):
-            d = cup_state(random_diagram(seed))
-            try:
-                dg.evaluate(d, rng=schedule(seed))
-            except CapacityError:
-                raised.append(seed)
-        assert tuple(raised) == pinned
+    raised = []
+    for seed in range(300):
+        d = cup_state(random_diagram(seed))
+        try:
+            dg.evaluate(d)
+        except CapacityError:
+            raised.append(seed)
+    assert tuple(raised) == CAPACITY_SEEDS
 
 
-def rescanning_schedule(d, rng=None):
+def rescanning_schedule(d):
     """Reference: the joins the greedy scheduler makes, as pairs of factor
     variable lists, recounting every variable for every candidate pair."""
     port_var = {}
@@ -335,8 +359,7 @@ def rescanning_schedule(d, rng=None):
                 joins.append((merged, f))
                 merged = merged + f
             break
-        _, i, j = (min(candidates) if rng is None
-                   else rng.choice(sorted(candidates)))
+        _, i, j = min(candidates)
         fi, fj = factors[i], factors[j]
         joins.append((fi, fj))
         gone = eliminable(fi, fj)
@@ -358,16 +381,15 @@ def test_schedule_matches_rescanning_reference(monkeypatch):
     monkeypatch.setattr(dg, "_join", recording_join)
     # random diagrams, and the benchmark's diagram families: fan has
     # cycles, so joined factors come to share several wires
-    cases = [(seed, cup_state(random_diagram(seed, max_boxes=12)))
+    cases = [cup_state(random_diagram(seed, max_boxes=12))
              for seed in range(200)]
-    cases += [(n, dg.parse(build(n))) for build, ns in (
+    cases += [dg.parse(build(n)) for build, ns in (
         (chain_int, (16, 20, 24, 28)), (fan, (10, 11, 12)),
         (chain, (9, 10, 11))) for n in ns]
-    for seed, d in cases:
-        for schedule in (lambda: None, lambda: random.Random(seed)):
-            joins.clear()
-            dg.evaluate(d, rng=schedule())
-            assert joins == rescanning_schedule(d, rng=schedule())
+    for d in cases:
+        joins.clear()
+        dg.evaluate(d)
+        assert joins == rescanning_schedule(d)
 
 
 def join_then_drop(f1, f2):

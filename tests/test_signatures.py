@@ -190,24 +190,39 @@ def test_expand_refuses_exponential_output(monkeypatch):
         sg.state_form(dg.parse(chain(5)))[0].expand()
 
 
-def test_state_form_refuses_exponential_output(monkeypatch):
-    # 2^rank signatures, refused above twice max_arity(), expand's leg
-    # ceiling: chain(n) has rank n
+def test_walk_refuses_exponential_output(monkeypatch):
+    # the form is polynomial at any rank; listing its 2^rank signatures is
+    # refused above twice max_arity(), expand's leg ceiling: chain(n) has
+    # rank n
     monkeypatch.setenv("SPEK_MAX_CELLS", "16")          # arity ceiling 2
     assert len(sg.state_form(dg.parse(chain(4)))[0].signatures) == 16
-    with pytest.raises(CapacityError):
-        sg.state_form(dg.parse(chain(5)))
-    with pytest.raises(CapacityError):
-        sg.duplication_analysis(dg.parse(chain(5)))
+    form, _ = sg.state_form(dg.parse(chain(5)))
+    assert len(form.basis) == 5
+    for listing in (lambda: next(form.walk()), lambda: next(form.lines()),
+                    form.to_text, lambda: form.signatures):
+        with pytest.raises(CapacityError):
+            listing()
+    report = sg.duplication_analysis(dg.parse(chain(5)))
+    assert report.distinct_signatures == 32
 
 
-def test_state_form_refuses_chain_21_quickly(monkeypatch):
+def test_walk_refuses_chain_21_quickly(monkeypatch):
     monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
     d = dg.parse(chain(21))
     start = time.perf_counter()
+    form, _ = sg.state_form(d)
     with pytest.raises(CapacityError):
-        sg.state_form(d)
+        next(form.walk())
     assert time.perf_counter() - start < 1.0
+
+
+def test_state_form_of_chain_200_is_polynomial(monkeypatch):
+    monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
+    d = dg.parse(chain(200))
+    start = time.perf_counter()
+    form, _ = sg.state_form(d)
+    assert time.perf_counter() - start < 1.0
+    assert len(form.basis) == 200 and form.multiplicity == 1
 
 
 def test_state_form_of_chain_20_lists_nothing(monkeypatch):
