@@ -1,11 +1,11 @@
 """State enumeration and consistency checks for the toy theories.
 
-One enumerator, ``enumerate_states``, lists the states of the phase-space
-model (Pusey, arXiv:1103.5037), the explicit description of the states the
-generators build.  A state is the set of its ``((), row)`` pairs, the set
-``Relation.pairs`` holds.  ``enumerate_closure`` reads the relations with
-at most one leg on each side off the states with at most two legs, by
-map-state duality.
+One reader, ``_solutions``, lists the states of the phase-space model
+(Pusey, arXiv:1103.5037), the explicit description of the states the
+generators build, each as the indices of its rows.  By map-state duality
+``_split`` cuts those rows into relations m -> n: ``enumerate_states``
+at m = 0, ``enumerate_closure`` at m, n <= 1.  The duality check reads
+its maps off the index lists themselves.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import namedtuple
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Dict
 
 from . import gf2
@@ -77,6 +77,7 @@ def _partitions(n):
 
 
 MAX_STATES = 10 ** 8   # the most states the row spaces may stand for
+MAX_ROWS = 10 ** 7     # the most rows the states' tuple sets may hold
 
 
 def _row_spaces(theory, max_legs):
@@ -92,23 +93,23 @@ def _row_spaces(theory, max_legs):
     if total > MAX_STATES:
         raise CapacityError("%d %s states on up to %d legs exceed %d" % (
             total, theory, max_legs, MAX_STATES))
-    for n in range(1, max_legs + 1):
-        for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
-                n, (n,) if theory == SPEK else range(n + 1))):
-            yield n, rows
+    return ((n, rows) for n in range(1, max_legs + 1)
+            for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
+                n, (n,) if theory == SPEK else range(n + 1))))
 
 
 def count_states(theory=SPEK, max_legs=3):
     """The number of states on each of 1..max_legs legs, without building
-    them: the rows of ``enumerate_states``, 2^k states on k rows."""
+    them: the rows of ``_solutions``, 2^k states on k rows."""
     counts = dict.fromkeys(range(1, max_legs + 1), 0)
     for n, rows in _row_spaces(theory, max_legs):
         counts[n] += 1 << len(rows)
     return counts
 
 
-def enumerate_states(theory=SPEK, max_legs=3):
-    """All states of the theory with 1..max_legs legs, as tuple sets.
+def _solutions(theory, max_legs):
+    """All states of the theory with 1..max_legs legs, each as the sorted
+    indices of its rows, by leg count and in the order of their texts.
 
     A state is the solution set {x : Ax = c} of one row space A and one
     value vector c.  Value v of Spek and MSpek is the bits (p, q) =
@@ -116,26 +117,43 @@ def enumerate_states(theory=SPEK, max_legs=3):
     a solution x is the index of its row in ``Space.tuples()`` order.  The
     rows come reduced, so nothing is eliminated: the kernel of A is read
     off them (``gf2.kernel``), and the particular solutions are the sums of
-    their pivots.  Returns a dict mapping the leg count to the list of
-    states, sorted by text.
+    their pivots.  Every space on n legs holds base^n rows over its 2^k
+    states, so before the walk starts more than MAX_ROWS rows in all are
+    refused.
     """
     check_theory(theory)
+    spaces = _row_spaces(theory, max_legs)    # the ceilings come first
     base = BASE[theory]
+    total = sum(sum(ks) * base ** n
+                for n, ks in _space_counts(theory, max_legs).items())
+    if total > MAX_ROWS:
+        raise CapacityError("%s states on up to %d legs hold %d rows, more "
+                            "than %d" % (theory, max_legs, total, MAX_ROWS))
     indices = {}
-    for n, rows in _row_spaces(theory, max_legs):
+    for n, rows in spaces:
         span = gf2.span(gf2.kernel(rows, n * base // 2))
         indices.setdefault(n, []).extend(
             sorted(p ^ s for s in span)
             for p in gf2.span([1 << (r.bit_length() - 1) for r in rows]))
-    found = {}
-    for n, states in indices.items():
-        # every row has n digits, so sorted index lists sort as the texts
-        space = Space(base, n)
-        entries = [((), row) for row in space.tuples()]
-        found[n] = [Relation(rel.I, space, frozenset(map(entries.__getitem__,
-                                                         idx)))
-                    for idx in sorted(states)]
-    return found
+    for states in indices.values():
+        states.sort()   # every row has n digits: this is text order
+    return indices
+
+
+def _split(theory, m, n, solutions):
+    """The relations m -> n whose rows, split after their first m digits,
+    are the (m+n)-leg index lists ``solutions``: map-state duality."""
+    dom, cod = Space(BASE[theory], m), Space(BASE[theory], n)
+    entries = [(a, b) for a in dom.tuples() for b in cod.tuples()]
+    return [Relation(dom, cod, frozenset(map(entries.__getitem__, idx)))
+            for idx in solutions]
+
+
+def enumerate_states(theory=SPEK, max_legs=3):
+    """All states of the theory with 1..max_legs legs, by leg count and
+    sorted by text, as the sets of their ``((), row)`` pairs."""
+    return {n: _split(theory, 0, n, states)
+            for n, states in _solutions(theory, max_legs).items()}
 
 
 def enumerate_closure(theory=SPEK) -> ClosureReport:
@@ -148,14 +166,10 @@ def enumerate_closure(theory=SPEK) -> ClosureReport:
     the same order, and "*" and every digit sort before the "∅" of the
     empty relation.
     """
-    states = {0: [rel.scalar(True)], **enumerate_states(theory, 2)}
-    hom = {}
-    for m, n in itertools.product((0, 1), repeat=2):
-        dom, cod = Space(BASE[theory], m), Space(BASE[theory], n)
-        hom[m, n] = [Relation(dom, cod, frozenset((row[:m], row[m:])
-                                                  for _, row in s.pairs))
-                     for s in states[m + n]] + [rel.empty(dom, cod)]
-    return ClosureReport(theory, hom)
+    solutions = {0: [[0]], **_solutions(theory, 2)}
+    return ClosureReport(theory, {
+        (m, n): _split(theory, m, n, solutions[m + n] + [[]])
+        for m, n in itertools.product((0, 1), repeat=2)})
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +247,13 @@ class DualityReport(namedtuple("DualityReport", "n_states n_maps bijective "
     __slots__ = ()
 
 
-def _matrix(r):
-    """A one-system map as a base x base boolean matrix in one int: bit
-    base*x + y is set when the x-th value relates to the y-th, values
-    counted from 0 in digit order.  A two-leg state is read as the map it
-    bends to: its row (x, y) is the pair x ~ y."""
-    base = r.cod.base
-    offset = (base + 1) * r.cod.digits().start
-    return sum([1 << base * x + y - offset
-                for x, y in itertools.starmap(add, r.pairs)])
-
-
 def _bent_maps(theory):
-    """The ``_matrix`` of each two-leg state bent, in state order, then the
-    empty map's, 0: the one-system hom set by map-state duality."""
-    return [*map(_matrix, enumerate_states(theory, 2)[2]), 0]
+    """Each two-leg state bent, in state order, then the empty map, 0: the
+    one-system hom set by map-state duality.  A map is a base x base
+    boolean matrix in one int, bit base*x + y set when the x-th value
+    relates to the y-th (from 0), which is the index of the row (x, y)."""
+    maps = [sum(1 << i for i in idx) for idx in _solutions(theory, 2)[2]]
+    return maps + [0]
 
 
 def _generator_matrices(theory):
@@ -262,7 +268,7 @@ def _generator_matrices(theory):
 
 
 def _closed(maps, base):
-    """(composition, converse): whether the set ``maps`` of ``_matrix``
+    """(composition, converse): whether the set ``maps`` of ``_bent_maps``
     ints holds every composite f;g and every converse of its members.
 
     The sorted maps are packed into one word, one field of 8 (HalfSpek)
@@ -300,9 +306,9 @@ def _closed(maps, base):
 def check_map_state_duality(theory=SPEK) -> DualityReport:
     """The one-system maps, the two-leg states bent, as a dagger hom set.
 
-    A map is held as its boolean matrix in one int (``_matrix``), read
-    straight off the rows of a two-leg state from ``enumerate_states``:
-    the maps are one per two-leg state and the empty map (``_bent_maps``).
+    A map is held as its boolean matrix in one int, read straight off the
+    index list of a two-leg state from ``_solutions``: the maps are one
+    per two-leg state and the empty map (``_bent_maps``).
     ``bijective`` holds when no two of them are the same map, and the maps
     hold the identity and every one-system generator
     (``_generator_matrices``) and are closed under composition and
@@ -340,25 +346,31 @@ def check_mspek_cardinalities(states_by_legs, theory=MSPEK):
                               exact if theory == SPEK else None)
 
 
-def closed_form_counts(theory=SPEK, max_legs=3):
-    """The number of states on each of 1..max_legs legs, by formula: 2^k
-    states on each k-dimensional isotropic subspace of Z2^(2n) (k = n for
-    Spek), of which there are prod_{i<k} (4^(n-i) - 1) / (2^(i+1) - 1), or
-    for HalfSpek on each of the S(n, k) partitions of the legs into k
-    blocks (S(n, k) the Stirling numbers of the second kind)."""
+def _space_counts(theory, max_legs):
+    """For each n in 1..max_legs, the number of row spaces on n legs with
+    k rows, for k = 0..n, by formula: the k-dimensional isotropic
+    subspaces of Z2^(2n) (k = n only for Spek), of which there are
+    prod_{i<k} (4^(n-i) - 1) / (2^(i+1) - 1), or for HalfSpek the S(n, k)
+    partitions of the legs into k blocks (S(n, k) the Stirling numbers of
+    the second kind)."""
     check_theory(theory)
     counts, stirling = {}, [1]          # S(n, k) for k = 0..n, from n = 0
     for n in range(1, max_legs + 1):
         stirling = [k * a + b for k, (a, b) in
                     enumerate(zip(stirling + [0], [0] + stirling))]
-        counts[n], subspaces = 0, 1
+        counts[n], subspaces = [], 1
         for k in range(n + 1):
-            if theory == HALFSPEK:
-                counts[n] += stirling[k] << k
-            elif theory == MSPEK or k == n:
-                counts[n] += subspaces << k
+            counts[n].append(stirling[k] if theory == HALFSPEK else
+                             subspaces if theory == MSPEK or k == n else 0)
             subspaces = subspaces * (4 ** (n - k) - 1) // (2 ** (k + 1) - 1)
     return counts
+
+
+def closed_form_counts(theory=SPEK, max_legs=3):
+    """The number of states on each of 1..max_legs legs, by formula: 2^k
+    states on each row space of k rows (``_space_counts``)."""
+    return {n: sum(c << k for k, c in enumerate(ks))
+            for n, ks in _space_counts(theory, max_legs).items()}
 
 
 def _attach(d, legs, gen):

@@ -312,6 +312,19 @@ def test_out_of_memory_exits_with_the_capacity_code(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+def test_verify_at_arity_5_is_refused_at_once(capsys, monkeypatch):
+    def walk(*args):
+        raise AssertionError("a walk started before the refusal")
+
+    monkeypatch.setattr(vf, "_isotropic", walk)
+    for suite in ("kbp", "cardinality", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--arity", "5")
+        assert (code, out) == (2, ""), suite
+        assert err == "error: spek states on up to 5 legs hold 78149052 " \
+            "rows, more than %d\n" % vf.MAX_ROWS, suite
+
+
 def test_enumerate_writes_the_one_system_closure_at_any_arity(tmp_path,
                                                              capsys):
     trees = []

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -187,31 +188,29 @@ def test_map_state_duality():
 
 
 def test_map_state_duality_catches_a_missing_state(monkeypatch):
-    real = vf.enumerate_states
+    real = vf._solutions
 
     def drop_one(theory, max_legs):
         states = real(theory, max_legs)
         states[2] = states[2][1:]
         return states
 
-    monkeypatch.setattr(vf, "enumerate_states", drop_one)
+    monkeypatch.setattr(vf, "_solutions", drop_one)
     for theory in THEORIES:
         assert not vf.check_map_state_duality(theory).bijective, theory
 
 
 def test_map_state_duality_catches_an_extra_state(monkeypatch):
-    real = vf.enumerate_states
+    real = vf._solutions
 
     def add_constant(theory, max_legs):
         # the two-leg state {(x, lo)}, which bends to a constant map
         states = real(theory, max_legs)
-        space = Space(2 if theory == "halfspek" else 4, 2)
-        lo = min(space.digits())
-        states[2] = states[2] + [Relation(I, space, frozenset(
-            ((), (x, lo)) for x in space.digits()))]
+        base = BASE[theory]
+        states[2] = states[2] + [[base * x for x in range(base)]]
         return states
 
-    monkeypatch.setattr(vf, "enumerate_states", add_constant)
+    monkeypatch.setattr(vf, "_solutions", add_constant)
     for theory in THEORIES:
         rep = vf.check_map_state_duality(theory)
         assert rep.n_maps == rep.n_states, theory
@@ -220,28 +219,56 @@ def test_map_state_duality_catches_an_extra_state(monkeypatch):
 
 @pytest.mark.parametrize("theory", THEORIES)
 def test_map_state_duality_catches_any_missing_state(theory, monkeypatch):
-    full = vf.enumerate_states(theory, 2)
+    full = vf._solutions(theory, 2)
     for k in range(len(full[2])):
         states = {**full, 2: full[2][:k] + full[2][k + 1:]}
-        monkeypatch.setattr(vf, "enumerate_states", lambda t, n: states)
+        monkeypatch.setattr(vf, "_solutions", lambda t, n: states)
         assert not vf.check_map_state_duality(theory).bijective, k
+
+
+def _matrix(r):
+    """A one-system map as a base x base boolean matrix in one int: bit
+    base*x + y is set when the x-th value relates to the y-th, values
+    counted from 0 in digit order.  A two-leg state is read as the map it
+    bends to: its row (x, y) is the pair x ~ y."""
+    base = r.cod.base
+    offset = (base + 1) * r.cod.digits().start
+    return sum(1 << base * x + y - offset for x, y in itertools.starmap(
+        operator.add, r.pairs))
 
 
 @pytest.mark.parametrize("theory", THEORIES)
 def test_duality_reads_the_closure_maps_off_the_states(theory):
     # the two-leg states bent by _matrix are the closure's (1, 1) hom set
     hom = vf.enumerate_closure(theory).relations(1, 1)
-    assert vf._bent_maps(theory) == [vf._matrix(r) for r in hom]
+    assert vf._bent_maps(theory) == [_matrix(r) for r in hom]
+    assert vf._bent_maps(theory)[:-1] == [
+        _matrix(s) for s in vf.enumerate_states(theory, 2)[2]]
 
 
 @pytest.mark.parametrize("theory", THEORIES)
 def test_duality_needs_the_identity_and_the_one_system_generators(theory):
     one = Space(BASE[theory], 1)
-    want = [vf._matrix(rel.identity(one))] + [
-        vf._matrix(resolve(g)) for g in generator_set(theory)
+    want = [_matrix(rel.identity(one))] + [
+        _matrix(resolve(g)) for g in generator_set(theory)
         if arity(g) == (1, 1)]
     assert vf._generator_matrices(theory) == want
     assert len(want) == {"spek": 25, "mspek": 25, "halfspek": 3}[theory]
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_duality_and_closure_build_no_state_relations(theory, monkeypatch):
+    # both read the model's index lists, not the states as relations
+    want = four_case_closure(theory)
+    count = {"spek": 60, "mspek": 91, "halfspek": 6}[theory]
+
+    def refuse(*args):
+        raise AssertionError("a state was built as a relation")
+
+    monkeypatch.setattr(vf, "enumerate_states", refuse)
+    assert vf.check_map_state_duality(theory) == \
+        vf.DualityReport(count, count, True, True)
+    assert vf.enumerate_closure(theory).hom == want
 
 
 @pytest.mark.parametrize("name", ["Spek", "spekk", "", "MSPEK"])
@@ -295,7 +322,7 @@ def test_packed_closure_matches_composing_each_pair(drawn):
     base, maps = drawn
     want = (all(f.then(g) in maps for f in maps for g in maps),
             all(f.converse() in maps for f in maps))
-    assert vf._closed({vf._matrix(r) for r in maps}, base) == want
+    assert vf._closed({_matrix(r) for r in maps}, base) == want
 
 
 def test_basis_structure_failure_case():
@@ -503,6 +530,48 @@ def test_counting_refuses_above_the_state_bound(monkeypatch):
     monkeypatch.setattr(vf, "closed_form_counts", walk)
     with pytest.raises(CapacityError):      # the ceiling comes first
         vf.count_states("spek", 10 ** 6)
+
+
+def model_rows(theory, legs):
+    """The rows the states on 1..legs legs hold, by the space counts:
+    base^n over the 2^k states of each row space on n legs."""
+    return sum(sum(ks) * BASE[theory] ** n
+               for n, ks in vf._space_counts(theory, legs).items())
+
+
+def test_row_count_matches_the_states():
+    for theory in THEORIES:
+        states = vf.enumerate_states(theory, 3)
+        assert model_rows(theory, 3) == sum(
+            len(s.pairs) for group in states.values() for s in group)
+    assert [model_rows("spek", 4), model_rows("mspek", 4),
+            model_rows("spek", 5), model_rows("mspek", 5)] == \
+        [596412, 4994944, 78149052, 1775392640]
+
+
+def test_enumeration_refuses_above_the_row_budget(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a walk started before the refusal")
+
+    assert model_rows("mspek", 4) <= vf.MAX_ROWS < model_rows("spek", 5)
+    with monkeypatch.context() as mp:
+        mp.setattr(vf, "_isotropic", walk)
+        for theory in ("spek", "mspek"):
+            message = "hold %d rows" % model_rows(theory, 5)
+            with pytest.raises(CapacityError, match=message):
+                vf.enumerate_states(theory, 5)
+            with pytest.raises(CapacityError, match=message):
+                vf._solutions(theory, 5)
+        # inside the budget the walk starts
+        with pytest.raises(AssertionError, match="a walk started"):
+            vf._solutions("mspek", 4)
+    # the row budget bounds the tuple sets only, not the counts
+    monkeypatch.setattr(vf, "MAX_ROWS", model_rows("spek", 2) - 1)
+    assert vf.count_states("spek", 2) == {1: 6, 2: 60}
+    with pytest.raises(CapacityError, match="hold 252 rows"):
+        vf.enumerate_closure("spek")
+    monkeypatch.setattr(vf, "MAX_ROWS", model_rows("spek", 2))
+    assert len(vf.enumerate_closure("spek").relations(1, 1)) == 61
 
 
 def test_enumerations_match_pinned_digest():
