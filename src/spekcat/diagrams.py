@@ -3,6 +3,8 @@
 A diagram is a set of generator boxes, wires between box ports, and an
 ordered list of open legs.  Ports are written ``<box>.<slot>`` where input
 slots are named ``in``, ``in2``, ... and output slots ``1``, ``2``, ...
+A statement of the text splits at whitespace, its directive at the first
+run of it.
 Wires are direction-free: the induced compact structure of the theories is
 the plain diagonal, so a wire means equality of its two port values, and
 bending a leg only moves it between the inputs and the outputs.  The port
@@ -11,9 +13,12 @@ evaluator's variable there, ``("w", i)`` for wire i or ``("l", port)`` for
 an open leg, so it depends on neither the legs' order nor their direction.
 It is built, and the diagram checked, on first access; bending shares it
 unchanged.  Sigma normalisation looks ports up in its input's index and
-builds none for its output; zone decomposition reads each Sigma box's ends
-off its scan of the wires.  Evaluation reads its variables off the index,
-and reduces a wire from a box to itself when it builds that box's factor.
+builds none for its output; zone decomposition classes each box of the
+normal form in one scan and reads each Sigma box's ends off its scan of
+the wires.  Evaluation reads its variables off the index, and reduces a
+wire from a box to itself when it builds that box's factor; its schedule
+keeps one row of wire counts per factor, and a join merges the second
+factor's row into the first's.
 """
 
 from __future__ import annotations
@@ -64,39 +69,47 @@ class Diagram(namedtuple("Diagram", "theory boxes wires legs",
         """The port index: each port's variable in ``evaluate``, ``("w", i)``
         for wire i or ``("l", port)`` for an open leg (shared: do not
         modify).  Built, and the diagram checked, on first access; a bent
-        diagram shares it."""
-        index = {}
-        box_map = dict(self.boxes)
-        if len(box_map) != len(self.boxes):
-            raise DiagramError("duplicate box id")
-        for name, gen in self.boxes:
+        diagram shares it.  A box's ports are all attached when the index
+        holds as many entries as the boxes have slots."""
+        theory, boxes = self.theory, self.boxes
+        box_slots = {name: _SLOTS[gen.tag] for name, gen in boxes}
+        if len(box_slots) != len(boxes):
+            seen = set()
+            for name, _ in boxes:
+                if name in seen:
+                    raise DiagramError("duplicate box id %r" % name)
+                seen.add(name)
+        total = 0
+        for name, gen in boxes:
             if not name or "." in name:
                 raise DiagramError("box id %r is empty or contains '.'" % name)
-            if gen.theory != self.theory:
+            if gen.theory != theory:
                 raise DiagramError("box %s uses theory %s in a %s diagram"
-                                   % (name, gen.theory, self.theory))
+                                   % (name, gen.theory, theory))
+            total += len(box_slots[name])
 
-        def touch(port, where, entry):
-            box, slot = port
-            if box not in box_map:
-                raise DiagramError("unknown box %r in %s" % (box, where))
-            if slot not in slots(box_map[box]):
-                raise DiagramError("box %r has no slot %r" % (box, slot))
-            if port in index:
-                raise DiagramError("port %s.%s used more than once" % port)
-            index[port] = entry
-
-        for i, (a, b) in enumerate(self.wires):
+        index = {}
+        for i, wire in enumerate(self.wires):
+            a, b = wire
             if a == b:
                 raise DiagramError("wire from port %s.%s to itself" % a)
-            touch(a, "wire", ("w", i))
-            touch(b, "wire", ("w", i))
+            entry = ("w", i)
+            for port in wire:
+                names = box_slots.get(port[0])
+                if names is None or port[1] not in names or port in index:
+                    raise _port_error(port, "wire", box_slots)
+                index[port] = entry
         for port, _ in self.legs:
-            touch(port, "leg", ("l", port))
-        for name, gen in self.boxes:
-            for slot in slots(gen):
-                if (name, slot) not in index:
-                    raise DiagramError("dangling port %s.%s" % (name, slot))
+            names = box_slots.get(port[0])
+            if names is None or port[1] not in names or port in index:
+                raise _port_error(port, "leg", box_slots)
+            index[port] = ("l", port)
+        if len(index) != total:
+            for name, names in box_slots.items():
+                for slot in names:
+                    if (name, slot) not in index:
+                        raise DiagramError("dangling port %s.%s"
+                                           % (name, slot))
         return index
 
     @cached_property
@@ -127,48 +140,70 @@ class Diagram(namedtuple("Diagram", "theory boxes wires legs",
         return "\n".join(lines) + "\n"
 
 
-def _parse_port(tok, lineno) -> Port:
-    if "." not in tok:
-        raise DiagramError("bad port %r (expected <box>.<slot>)" % tok, lineno)
-    box, slot = tok.split(".", 1)
-    return (box, slot)
+def _port_error(port, where, box_slots):
+    """The error for a port ``Diagram.ports`` cannot enter."""
+    box, slot = port
+    if box not in box_slots:
+        return DiagramError("unknown box %r in %s" % (box, where))
+    if slot not in box_slots[box]:
+        return DiagramError("box %r has no slot %r" % (box, slot))
+    return DiagramError("port %s.%s used more than once" % port)
+
+
+def _bad_port(tok, lineno):
+    return DiagramError("bad port %r (expected <box>.<slot>)" % tok, lineno)
 
 
 def parse(source: str) -> Diagram:
-    """Parse DSL text into a validated diagram."""
+    """Parse DSL text into a validated diagram.
+
+    ``#`` starts a comment.  A statement's directive ends at its first run
+    of whitespace, and ports are separated by whitespace.
+    """
     theory = SPEK
     boxes, wires, legs = [], [], []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        toks = line.split()
+        if not toks:
             continue
-        head, _, tail = line.partition(" ")
-        tail = tail.strip()
-        if head == "theory":
+        head = toks[0]
+        if head == "wire":
+            if len(toks) != 3:
+                raise DiagramError("wire needs exactly two ports, got %r"
+                                   % line.strip()[4:].lstrip(), lineno)
+            a, b = toks[1], toks[2]
+            abox, dot, aslot = a.partition(".")
+            if not dot:
+                raise _bad_port(a, lineno)
+            bbox, dot, bslot = b.partition(".")
+            if not dot:
+                raise _bad_port(b, lineno)
+            wires.append(((abox, aslot), (bbox, bslot)))
+        elif head == "box":
+            name, sep, genname = line.strip()[3:].partition(":")
+            genname = genname.strip()
+            if not sep or not genname:
+                raise DiagramError("expected 'box <id>: <generator>'", lineno)
+            try:
+                gen = parse_generator_name(genname, theory)
+            except ValueError as exc:
+                raise DiagramError(str(exc), lineno)
+            boxes.append((name.strip(), gen))
+        elif head == "in" or head == "out":
+            for tok in toks[1:]:
+                box, dot, slot = tok.partition(".")
+                if not dot:
+                    raise _bad_port(tok, lineno)
+                legs.append(((box, slot), head))
+        elif head == "theory":
+            tail = line.strip()[6:].lstrip()
             if tail not in (SPEK, MSPEK, HALFSPEK):
                 raise DiagramError("unknown theory %r" % tail, lineno)
             if boxes:
                 raise DiagramError("theory must precede box declarations", lineno)
             theory = tail
-        elif head == "box":
-            name, sep, genname = tail.partition(":")
-            if not sep or not genname.strip():
-                raise DiagramError("expected 'box <id>: <generator>'", lineno)
-            try:
-                gen = parse_generator_name(genname.strip(), theory)
-            except ValueError as exc:
-                raise DiagramError(str(exc), lineno)
-            boxes.append((name.strip(), gen))
-        elif head == "wire":
-            toks = tail.split()
-            if len(toks) != 2:
-                raise DiagramError("wire needs exactly two ports, got %r" % tail,
-                                   lineno)
-            wires.append((_parse_port(toks[0], lineno),
-                          _parse_port(toks[1], lineno)))
-        elif head in ("in", "out"):
-            for tok in tail.split():
-                legs.append((_parse_port(tok, lineno), head))
         else:
             raise DiagramError("unknown directive %r" % head, lineno)
     return Diagram(theory, tuple(boxes), tuple(wires), tuple(legs)).validate()
@@ -192,8 +227,8 @@ def _projection(idx):
         return itemgetter(*idx)
     if idx:
         i, = idx
-        return lambda r: (r[i],)
-    return lambda r: ()
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(slice(0))
 
 
 @cache
@@ -209,29 +244,35 @@ def _join(f1: _Factor, f2: _Factor) -> _Factor:
     dies with their join.  The result holds f1's remaining variables, then
     f2's, each in their order.
     """
-    pos2 = {v: j for j, v in enumerate(f2.vars)}
-    keep1, key1, key2 = [], [], []
+    pos2 = dict(zip(f2.vars, range(len(f2.vars))))
+    vars, keep1, key1, key2 = [], [], [], []
     for i, v in enumerate(f1.vars):
         j = pos2.pop(v, None)
         if j is None:
             keep1.append(i)
+            vars.append(v)
         else:
             key1.append(i)
             key2.append(j)
-    vars = [f1.vars[i] for i in keep1] + list(pos2)
+    vars += pos2
     if not key1:                       # nothing shared: a tensor product
         return _Factor(vars, {r1 + r2 for r1 in f1.rows for r2 in f2.rows})
     head, tail = _projection(keep1), _projection(list(pos2.values()))
     get1, get2 = itemgetter(*key1), itemgetter(*key2)
     index = {}
     for r in f2.rows:
-        index.setdefault(get2(r), []).append(tail(r))
+        k = get2(r)
+        if k in index:
+            index[k].append(tail(r))
+        else:
+            index[k] = [tail(r)]
     rows = set()
     for r in f1.rows:
         tails = index.get(get1(r))
         if tails:
             h = head(r)
-            rows.update([h + t for t in tails])
+            for t in tails:
+                rows.add(h + t)
     return _Factor(vars, rows)
 
 
@@ -249,41 +290,38 @@ def evaluate(d: Diagram) -> Relation:
     ports = d.ports                     # port -> its variable
     protected = {("l", port) for port, _ in d.legs}
 
-    # factors by id; ids grow, so id order is the factor order
-    factors = {}
-    for name, gen in d.boxes:
-        vars = [ports[name, s] for s in slots(gen)]
-        rows = _box_rows(gen)
-        if len(set(vars)) < len(vars):
-            # wires from the box to itself: keep the rows that agree at both
-            # ends of each, then sum them out, since no other factor holds them
-            loops = [(vars.index(v), i) for i, v in enumerate(vars)
-                     if vars.index(v) < i]
-            keep = [i for i, v in enumerate(vars) if vars.count(v) == 1]
-            project = _projection(keep)
-            rows = {project(r) for r in rows
-                    if all(r[i] == r[j] for i, j in loops)}
-            vars = [vars[i] for i in keep]
-        factors[len(factors)] = _Factor(vars, rows)
-    if not factors:
-        return rel.scalar(True)
-    ids = count(len(factors))
-
-    def join(f1, f2, shared):
-        if len(f1.vars) + len(f2.vars) - shared > ceiling:
-            raise CapacityError("contraction intermediate exceeds arity "
-                                "ceiling")
-        return _join(f1, f2)
-
     # A variable is a wire (two ports) or a leg (one port): at most two
     # factors hold it, and one two factors share dies with their join.  So
     # a pair's join is as wide as its two factors less twice its wire count.
     box_id = {name: i for i, (name, _) in enumerate(d.boxes)}
-    links = {i: {} for i in factors}     # i -> {j: wires between i and j}
+    links = {i: {} for i in range(len(d.boxes))}  # i -> {j: wires i to j}
+    looped = set()                  # boxes with a wire to themselves
     for (a, _), (b, _) in d.wires:
         i, j = box_id[a], box_id[b]
-        if i != j:               # self-wires are reduced in their factor
+        if i == j:
+            looped.add(i)
+        else:
             links[i][j] = links[j][i] = links[i].get(j, 0) + 1
+
+    # factors by id; ids grow, so id order is the factor order
+    factors = {}
+    for i, (name, gen) in enumerate(d.boxes):
+        vars = [ports[name, s] for s in _SLOTS[gen.tag]]
+        rows = _box_rows(gen)
+        if i in looped:
+            # wires from the box to itself: keep the rows that agree at both
+            # ends of each, then sum them out, since no other factor holds them
+            loops = [(vars.index(v), k) for k, v in enumerate(vars)
+                     if vars.index(v) < k]
+            keep = [k for k, v in enumerate(vars) if vars.count(v) == 1]
+            project = _projection(keep)
+            rows = {project(r) for r in rows
+                    if all(r[a] == r[b] for a, b in loops)}
+            vars = [vars[k] for k in keep]
+        factors[i] = _Factor(vars, rows)
+    if not factors:
+        return rel.scalar(True)
+    ids = count(len(factors))
 
     # (width of the join, i, j), i < j, for factors linked by a wire.  A
     # join's node is new and a factor changes only by being joined, so an
@@ -295,22 +333,33 @@ def evaluate(d: Diagram) -> Relation:
         _, i, j = heapq.heappop(heap)
         if i not in factors or j not in factors:
             continue
-        f = join(factors.pop(i), factors.pop(j), links[i][j])
+        f1, f2 = factors.pop(i), factors.pop(j)
+        row, row_j = links.pop(i), links.pop(j)
+        # the pair's own wires die in the join; j's row is merged into
+        # i's, which becomes the new factor's row
+        if len(f1.vars) + len(f2.vars) - row.pop(j) > ceiling:
+            raise CapacityError("contraction intermediate exceeds arity "
+                                "ceiling")
+        del row_j[i]
         new = next(ids)
-        factors[new] = f
-        merged = links[new] = {}
-        for old in (i, j):
-            for m, n in links.pop(old).items():
-                del links[m][old]
-                if m != j:
-                    merged[m] = merged.get(m, 0) + n
-        for m, n in merged.items():
+        f = factors[new] = _join(f1, f2)
+        for m in row:
+            del links[m][i]
+        for m, n in row_j.items():
+            del links[m][j]
+            row[m] = row.get(m, 0) + n
+        links[new] = row
+        width = len(f.vars)
+        for m, n in row.items():
             links[m][new] = n
-            heapq.heappush(heap, (len(factors[m].vars) + len(f.vars) - 2 * n,
+            heapq.heappush(heap, (len(factors[m].vars) + width - 2 * n,
                                   m, new))
     final, *rest = factors.values()
     for f in rest:               # disconnected remainder: tensor it together
-        final = join(final, f, 0)
+        if len(final.vars) + len(f.vars) > ceiling:
+            raise CapacityError("contraction intermediate exceeds arity "
+                                "ceiling")
+        final = _join(final, f)
     if set(final.vars) != protected:
         raise RuntimeError("internal variables were not eliminated: %s"
                            % sorted(set(final.vars) - protected))
@@ -319,24 +368,12 @@ def evaluate(d: Diagram) -> Relation:
     out_pos = [pos["l", p] for p, dr in d.legs if dr == "out"]
     base = BASE[d.theory]
     dom, cod = Space(base, len(in_pos)), Space(base, len(out_pos))
-    ins, outs = _projection(in_pos), _projection(out_pos)
-    return Relation(dom, cod, frozenset((ins(r), outs(r))
-                                        for r in final.rows))
+    ins, outs, rows = _projection(in_pos), _projection(out_pos), final.rows
+    return Relation(dom, cod, frozenset(zip(map(ins, rows), map(outs, rows))))
 
 
 # ---------------------------------------------------------------------------
 # Rewriting: leg bending (map-state duality) and Sigma normalisation.
-
-
-def _is_sigma(gen: GeneratorId) -> bool:
-    return gen.tag == "perm" and gen.perm == SIGMA
-
-
-def _is_phased_box(gen: GeneratorId) -> bool:
-    if gen.tag == "perm":
-        return gen.perm.is_phased
-    return gen.tag in ("delta", "delta_dagger", "epsilon", "epsilon_dagger",
-                       "identity")
 
 
 def _bend(d: Diagram, bent) -> Diagram:
@@ -386,14 +423,16 @@ def sigma_normalize(d: Diagram) -> Diagram:
     leg_at = {port: k for k, (port, _) in enumerate(d.legs)}
     held = {}           # port made or moved here -> its index entry
     names, free = set(boxes), {}     # removed names are not reused
+    sigma = None                     # the Sigma generator, made when needed
 
     def add_box(stem, gen):
         """Add a box named ``<stem><k>`` with the lowest unused k."""
         k = free.get(stem, 0)
-        while "%s%d" % (stem, k) in names:
-            k += 1
-        free[stem] = k + 1
         new = "%s%d" % (stem, k)
+        while new in names:
+            k += 1
+            new = "%s%d" % (stem, k)
+        free[stem] = k + 1
         names.add(new)
         boxes[new] = gen
         return new
@@ -430,26 +469,32 @@ def sigma_normalize(d: Diagram) -> Diagram:
             reattach((name, src), (spacer, "in"))
             reattach((name, dst), (spacer, "1"))
 
-    # factor unphased permutations through Sigma
+    # factor unphased permutations through Sigma; every Sigma box of the
+    # result is made here, and the list keeps them in box order
+    sigmas = []
     for name, gen in d.boxes:
         if gen.tag != "perm" or gen.perm.is_phased:
             continue
         del boxes[name]
-        factors = sigma_decompose(gen.perm)
-        chain = [add_box("_s" if f == SIGMA else "_p",
-                         GeneratorId("perm", SPEK, f)) for f in factors]
+        chain = []
+        for f in sigma_decompose(gen.perm):
+            if f == SIGMA:
+                sigma = sigma or GeneratorId("perm", SPEK, SIGMA)
+                chain.append(add_box("_s", sigma))
+                sigmas.append(chain[-1])
+            else:
+                chain.append(add_box("_p", GeneratorId("perm", SPEK, f)))
         reattach((name, "in"), (chain[0], "in"))
         reattach((name, "1"), (chain[-1], "1"))
         for left, right in zip(chain, chain[1:]):
             add_wire((left, "1"), (right, "in"))
 
     # pad Sigma boxes so both neighbours are phased
-    for name, gen in list(boxes.items()):
-        if not _is_sigma(gen):
-            continue
+    is_sigma = set(sigmas)
+    for name in sigmas:
         for slot in ("in", "1"):
             other = holder((name, slot))[1]
-            if other is None or _is_sigma(boxes[other[0]]):
+            if other is None or other[0] in is_sigma:
                 spacer = add_box("_i", GeneratorId("identity", SPEK))
                 reattach((name, slot), (spacer, "in"))
                 add_wire((spacer, "1"), (name, slot))
@@ -494,25 +539,35 @@ class ZoneDecomposition(namedtuple(
     def internal_zones(self):
         return tuple(i for i, z in enumerate(self.zones) if z.is_internal)
 
-def _swap_bits(gen: GeneratorId) -> int:
-    """Bit 0 (1): the box restricts to the swap on the {1,2} ({3,4}) plane."""
-    if gen.tag != "perm":
-        return 0
-    return ((gen.perm.half_restriction("12") == Z2_SWAP)
-            | (gen.perm.half_restriction("34") == Z2_SWAP) << 1)
+# the tags of the boxes that are phased whatever they carry
+_PHASED_TAGS = ("delta", "delta_dagger", "epsilon", "epsilon_dagger",
+                "identity")
 
 
 def zone_decompose(d: Diagram) -> ZoneDecomposition:
-    """Split a Spek diagram into maximal phased zones linked by Sigma."""
+    """Split a Spek diagram into maximal phased zones linked by Sigma.
+
+    One scan classifies each box of the normal form as Sigma or phased,
+    with its swap bits (bit 0 (1): it restricts to the swap on the {1,2}
+    ({3,4}) plane); one over the wires joins phased neighbours and finds
+    each Sigma box's ends.
+    """
     nd = sigma_normalize(d)
-    box_map = dict(nd.boxes)
-    phased = [name for name, gen in nd.boxes if not _is_sigma(gen)]
-    for name in phased:
-        if not _is_phased_box(box_map[name]):
+    parent, swap_bits, sigmas = {}, {}, []
+    for name, (tag, _, perm) in nd.boxes:
+        if tag == "perm" and perm == SIGMA:
+            sigmas.append(name)
+            continue
+        if tag == "perm" and perm.is_phased:
+            bits = ((perm.half_restriction("12") == Z2_SWAP)
+                    | (perm.half_restriction("34") == Z2_SWAP) << 1)
+        elif tag in _PHASED_TAGS:
+            bits = 0
+        else:
             raise RuntimeError("Sigma normalisation left unphased box %s"
                                % name)
-
-    parent = {name: name for name in phased}
+        parent[name] = name
+        swap_bits[name] = bits
 
     def find(x):
         while parent[x] != x:
@@ -531,39 +586,45 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
 
     # zones in the order they are met: external ones by their first leg,
     # then internal ones by their first box; boxes and legs in their order
-    comp_of = {name: find(name) for name in phased}
-    zone_boxes, zone_legs, swaps = {}, {}, {}
-    for name in phased:
-        root = comp_of[name]
-        zone_boxes.setdefault(root, []).append(name)
-        swaps[root] = swaps.get(root, 0) ^ _swap_bits(box_map[name])
+    zone_of, zone_boxes, zone_legs, swaps = {}, [], [], []
     for k, (port, _) in enumerate(nd.legs):
-        zone_legs.setdefault(comp_of[port[0]], []).append(k)
-    ordering = list(dict.fromkeys([*zone_legs, *zone_boxes]))
-    zone_index = {r: i for i, r in enumerate(ordering)}
+        root = find(port[0])
+        if root not in zone_of:
+            zone_of[root] = len(zone_legs)
+            zone_boxes.append([])
+            zone_legs.append([])
+            swaps.append(0)
+        zone_legs[zone_of[root]].append(k)
+    for name, bits in swap_bits.items():
+        root = find(name)
+        if root not in zone_of:
+            zone_of[root] = len(zone_legs)
+            zone_boxes.append([])
+            zone_legs.append(())
+            swaps.append(0)
+        z = zone_of[root]
+        zone_boxes[z].append(name)
+        swaps[z] ^= bits
 
     links = []
-    odd = [0] * len(ordering)      # zone -> the zones linked to it oddly often
-    for name, gen in nd.boxes:
-        if not _is_sigma(gen):
-            continue
-        ends = [sigma_ends.get((name, slot)) for slot in ("in", "1")]
+    odd = [0] * len(zone_legs)     # zone -> the zones linked to it oddly often
+    for name in sigmas:
+        ends = sigma_ends.get((name, "in")), sigma_ends.get((name, "1"))
         if None in ends:
             raise RuntimeError("Sigma box %s does not end in phased boxes"
                                % name)
-        a, b = sorted(zone_index[comp_of[end]] for end in ends)
+        a, b = sorted([zone_of[find(ends[0])], zone_of[find(ends[1])]])
         links.append((a, b))
         if a != b:
             odd[a] ^= 1 << b
             odd[b] ^= 1 << a
 
-    parity = []
-    for i, r in enumerate(ordering):
-        f12, f34 = swaps[r] & 1, swaps[r] >> 1
+    zones, parity = [], []
+    for i, (boxes, legs, f) in enumerate(zip(zone_boxes, zone_legs, swaps)):
+        f12, f34 = f & 1, f >> 1
         slope = (f12 ^ f34 ^ odd[i].bit_count()) & 1
         parity.append((odd[i] | slope << i, 1 ^ f12))
-    zones = tuple(Zone(tuple(zone_boxes[r]), tuple(zone_legs.get(r, ())))
-                  for r in ordering)
-    reorder = tuple(k for z in zones for k in z.legs)
-    return ZoneDecomposition(nd, zones, tuple(links), reorder, tuple(parity))
-
+        zones.append(Zone(tuple(boxes), tuple(legs)))
+    reorder = tuple(k for legs in zone_legs for k in legs)
+    return ZoneDecomposition(nd, tuple(zones), tuple(links), reorder,
+                             tuple(parity))

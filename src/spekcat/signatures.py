@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import methodcaller, xor
 from typing import Tuple
 
@@ -151,8 +151,12 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
             ones = sum(types) >> 1               # a 1 in each leg's byte
 
             def lifted(w):
-                return reduce(xor, (v for i, v in enumerate(lift)
-                                    if w >> i & 1), 0)
+                y = 0
+                for v in lift:
+                    if w & 1:
+                        y ^= v
+                    w >>= 1
+                return y
             # parity 0, Odd, is an odd count of b: each first b flips
             y0 = lifted(self.shift ^ (1 << len(parities)) - 1)
             rows = [ones + (y0 ^ y) for y in

@@ -151,9 +151,21 @@ def _split(theory, m, n, solutions):
 
 def enumerate_states(theory=SPEK, max_legs=3):
     """All states of the theory with 1..max_legs legs, by leg count and
-    sorted by text, as the sets of their ``((), row)`` pairs."""
-    return {n: _split(theory, 0, n, states)
-            for n, states in _solutions(theory, max_legs).items()}
+    sorted by text, as the sets of their ``((), row)`` pairs.
+
+    The cyclic garbage collector is paused while they are built: they hold
+    no cycles, and its full passes over the growing lists took about a
+    third of the time at MSpek arity 4.  The caller's setting is restored.
+    """
+    import gc
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return {n: _split(theory, 0, n, states)
+                for n, states in _solutions(theory, max_legs).items()}
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_closure(theory=SPEK) -> ClosureReport:

@@ -30,18 +30,68 @@ def test_parse_eta():
     assert [dr for _, dr in d.legs] == ["out", "out"]
 
 
+# (source, the exact message): every message of parse, with its line
+# number, and of Diagram.ports, which checks the whole diagram and has none
+PARSE_ERRORS = (
+    ("theory qubit\n", "line 1: unknown theory 'qubit'"),
+    ("box e: eps+\ntheory mspek\nout e.1\n",
+     "line 2: theory must precede box declarations"),
+    ("box e eps+\nout e.1\n", "line 1: expected 'box <id>: <generator>'"),
+    ("box e:  \nout e.1\n", "line 1: expected 'box <id>: <generator>'"),
+    ("box e: nonsense\nout e.1\n", "line 1: unknown generator name 'nonsense'"),
+    ("box e: eps+\nwire e.1\n", "line 2: wire needs exactly two ports, got 'e.1'"),
+    ("box e: eps+\nwire e.1  f.in g.in\n",
+     "line 2: wire needs exactly two ports, got 'e.1  f.in g.in'"),
+    ("box e: eps+\nbox f: eps\nwire e.1 fin\n",
+     "line 3: bad port 'fin' (expected <box>.<slot>)"),
+    ("box e: eps+\nout e.1 e1\n", "line 2: bad port 'e1' (expected <box>.<slot>)"),
+    ("box e: eps+\nouts e.1\n", "line 2: unknown directive 'outs'"),
+    ("box : eps+\nout .1\n", "box id '' is empty or contains '.'"),
+    ("box a.b: eps+\nout a.b.1\n", "box id 'a.b' is empty or contains '.'"),
+    ("box e: eps+\nout f.1\n", "unknown box 'f' in leg"),
+    ("box e: eps+\nbox f: eps\nwire e.1 g.in\n", "unknown box 'g' in wire"),
+    ("box e: eps+\nout e.2\n", "box 'e' has no slot '2'"),
+    ("box e: eps+\nout e.1 e.1\n", "port e.1 used more than once"),
+    ("box e: eps+\nbox f: eps\nwire e.1 f.in\nout e.1\n",
+     "port e.1 used more than once"),
+    ("box d: delta\nwire d.1 d.1\nout d.in d.2\n",
+     "wire from port d.1 to itself"),
+    ("box e: eps+\n", "dangling port e.1"),
+    ("box d: delta\nout d.in d.2\n", "dangling port d.1"),
+    ("box e: eps+\nbox e: eps+\nout e.1\n", "duplicate box id 'e'"),
+    # two faults: the first the checks meet is the one raised
+    ("box e: eps+\nouts e.1\nwire e.1\n", "line 2: unknown directive 'outs'"),
+    ("box e: nonsense\ntheory qubit\n", "line 1: unknown generator name 'nonsense'"),
+    ("box e: eps+\nout e.1 e1 f\n", "line 2: bad port 'e1' (expected <box>.<slot>)"),
+    ("box e: eps+\nbox e: eps\nbox : eps\n", "duplicate box id 'e'"),
+    ("box : eps+\nbox e: eps\nbox e: eps\n", "duplicate box id 'e'"),
+    ("box : eps+\nbox e: eps\nout f.1\n", "box id '' is empty or contains '.'"),
+    ("box e: eps+\nout f.1\nwire e.1 g.in\n", "unknown box 'g' in wire"),
+    ("box e: eps+\nbox d: delta\nwire d.1 d.1\nwire e.2 d.in\n",
+     "wire from port d.1 to itself"),
+    ("box e: eps+\nbox d: delta\nwire e.1 d.2\nwire e.1 d.in\n",
+     "port e.1 used more than once"),
+    ("box e: eps+\nbox f: eps\nout e.3 f.in\n", "box 'e' has no slot '3'"),
+    ("box d: delta\nbox e: eps+\n", "dangling port d.in"),
+)
+
+
 def test_parse_errors_carry_line_numbers():
+    for source, message in PARSE_ERRORS:
+        with pytest.raises(dg.DiagramError) as exc:
+            dg.parse(source)
+        assert str(exc.value) == message, source
+    # parse gives every box the declared theory, so only a diagram built
+    # directly can mix theories
+    d = dg.Diagram(dg.SPEK, (("e", GeneratorId("epsilon_dagger", dg.MSPEK)),),
+                   (), ((("e", "1"), "out"),))
     with pytest.raises(dg.DiagramError) as exc:
-        dg.parse("box e: eps+\nwire e.1\n")
-    assert "line 2" in str(exc.value)
-    with pytest.raises(dg.DiagramError):
-        dg.parse("box e: nonsense\nout e.1\n")
-    with pytest.raises(dg.DiagramError):
-        dg.parse("box e: eps+\n")          # dangling port
-    with pytest.raises(dg.DiagramError):
-        dg.parse("box e: eps+\nout e.1 e.1\n")
-    with pytest.raises(dg.DiagramError, match="empty"):
-        dg.parse("box : eps+\nout .1\n")        # empty box id
+        d.validate()
+    assert str(exc.value) == "box e uses theory mspek in a spek diagram"
+    for source in ("box\te: eps+\nout\te.1\n", "box  e: eps+ # c\n \tout e.1\n",
+                   "box e: eps+\nbox d: eps\nwire\te.1\td.in\t# c\n"):
+        assert dg.parse(source).legs == dg.parse(
+            source.replace("\t", " ")).legs
 
 
 def test_evaluate_eta_is_diagonal():
@@ -250,6 +300,18 @@ def test_zones_refuse_a_sigma_end_without_a_phased_box(monkeypatch):
                  "box f: eps\nwire e.1 s.in\nwire s.1 t.in\nwire t.1 f.in\n")
     with pytest.raises(RuntimeError, match="Sigma box s "):
         dg.zone_decompose(d)
+
+
+@pytest.mark.parametrize("src", [
+    "box e: eps+\nbox u: perm((13))\nbox g: eps\nwire e.1 u.in\nwire u.1 g.in\n",
+    "box e: eps+\nbox f: eps+\nbox u: swap\nbox g: eps\n"
+    "wire e.1 u.in\nwire f.1 u.in2\nwire u.1 g.in\nout u.2\n"])
+def test_zones_refuse_an_unphased_box_left_by_normalisation(src, monkeypatch):
+    # unnormalised, an unphased permutation or a swap box stays a box
+    monkeypatch.setattr(dg, "sigma_normalize", lambda d: d)
+    with pytest.raises(RuntimeError,
+                       match=r"^Sigma normalisation left unphased box u$"):
+        dg.zone_decompose(dg.parse(src))
 
 
 def test_sigma_normalize_splits_unphased_perms():

@@ -574,6 +574,21 @@ def test_enumeration_refuses_above_the_row_budget(monkeypatch):
     assert len(vf.enumerate_closure("spek").relations(1, 1)) == 61
 
 
+def test_enumeration_restores_the_collector_setting():
+    import gc
+    enabled = gc.isenabled()
+    try:
+        for start in (True, False):
+            (gc.enable if start else gc.disable)()
+            assert len(vf.enumerate_states("spek", 2)[2]) == 60
+            assert gc.isenabled() is start
+            with pytest.raises(CapacityError):      # above the row budget
+                vf.enumerate_states("spek", 5)
+            assert gc.isenabled() is start
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
 def test_enumerations_match_pinned_digest():
     h = hashlib.sha256()
     for line in enumeration_records():
