@@ -10,7 +10,7 @@ import sys
 from . import diagrams as dg
 from . import signatures as sg
 from . import verification as vf
-from .generators import HALFSPEK, MSPEK, SPEK, GeneratorId, resolve
+from .generators import HALFSPEK, MSPEK, SPEK, THEORIES, GeneratorId, resolve
 from .relations import CapacityError, max_arity
 
 # json (jsonl output only) and the random diagram generator (compare
@@ -138,7 +138,7 @@ def cmd_enumerate(args):
     try:
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-        for n, count in vf.count_states(args.theory, args.arity).items():
+        for n, count in vf.closed_form_counts(args.theory, args.arity).items():
             if args.format == "jsonl":
                 print(json.dumps({"legs": n, "states": count}))
             else:
@@ -259,7 +259,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("enumerate", help="enumerate states of a theory")
-    p.add_argument("--theory", choices=[SPEK, MSPEK, HALFSPEK], default=SPEK)
+    p.add_argument("--theory", choices=THEORIES, default=SPEK)
     p.add_argument("--arity", type=int, default=1)
     p.add_argument("--out", metavar="DIR")
     p.set_defaults(func=cmd_enumerate)

@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Dict, Tuple
 
 from . import relations as rel
-from .generators import (ARITIES, BASE, GeneratorId, HALFSPEK, MSPEK, SPEK,
+from .generators import (ARITIES, BASE, SPEK, THEORIES, GeneratorId,
                          parse_generator_name, resolve)
 from .permutations import SIGMA, Z2_SWAP, sigma_decompose
 from .relations import CapacityError, Relation, Space, max_arity
@@ -199,7 +199,7 @@ def parse(source: str) -> Diagram:
                 legs.append(((box, slot), head))
         elif head == "theory":
             tail = line.strip()[6:].lstrip()
-            if tail not in (SPEK, MSPEK, HALFSPEK):
+            if tail not in THEORIES:
                 raise DiagramError("unknown theory %r" % tail, lineno)
             if boxes:
                 raise DiagramError("theory must precede box declarations", lineno)

@@ -5,7 +5,10 @@ One reader, ``_solutions``, lists the states of the phase-space model
 generators build, each as the indices of its rows.  By map-state duality
 ``_split`` cuts those rows into relations m -> n: ``enumerate_states``
 at m = 0, ``enumerate_closure`` at m, n <= 1.  The duality check reads
-its maps off the index lists themselves.
+its maps off the index lists themselves.  States are counted by formula
+(``closed_form_counts``), not walked.  The formula's ``_space_counts``
+refuses a bad theory or leg count for every reader; ``_solutions`` adds
+MAX_ROWS.
 """
 
 from __future__ import annotations
@@ -76,35 +79,7 @@ def _partitions(n):
         yield blocks + [leg]
 
 
-MAX_STATES = 10 ** 8   # the most states the row spaces may stand for
 MAX_ROWS = 10 ** 7     # the most rows the states' tuple sets may hold
-
-
-def _row_spaces(theory, max_legs):
-    """(n, the reduced rows A) for each space {x : Ax = c} of n-leg states:
-    an isotropic subspace, Lagrangian for Spek, or for HalfSpek the blocks
-    of a partition of the legs.  Refuses up front more legs than
-    ``max_arity()`` or more than MAX_STATES states by the closed form."""
-    if max_legs < 1:
-        raise ValueError("max_legs must be at least 1")
-    if max_legs > max_arity():
-        raise CapacityError("%d legs exceed the arity ceiling" % max_legs)
-    total = sum(closed_form_counts(theory, max_legs).values())
-    if total > MAX_STATES:
-        raise CapacityError("%d %s states on up to %d legs exceed %d" % (
-            total, theory, max_legs, MAX_STATES))
-    return ((n, rows) for n in range(1, max_legs + 1)
-            for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
-                n, (n,) if theory == SPEK else range(n + 1))))
-
-
-def count_states(theory=SPEK, max_legs=3):
-    """The number of states on each of 1..max_legs legs, without building
-    them: the rows of ``_solutions``, 2^k states on k rows."""
-    counts = dict.fromkeys(range(1, max_legs + 1), 0)
-    for n, rows in _row_spaces(theory, max_legs):
-        counts[n] += 1 << len(rows)
-    return counts
 
 
 def _solutions(theory, max_legs):
@@ -112,29 +87,31 @@ def _solutions(theory, max_legs):
     indices of its rows, by leg count and in the order of their texts.
 
     A state is the solution set {x : Ax = c} of one row space A and one
-    value vector c.  Value v of Spek and MSpek is the bits (p, q) =
-    divmod(v - 1, 2), a HalfSpek value one bit; with leg 0 most significant
-    a solution x is the index of its row in ``Space.tuples()`` order.  The
-    rows come reduced, so nothing is eliminated: the kernel of A is read
-    off them (``gf2.kernel``), and the particular solutions are the sums of
-    their pivots.  Every space on n legs holds base^n rows over its 2^k
-    states, so before the walk starts more than MAX_ROWS rows in all are
-    refused.
+    value vector c: an isotropic subspace, Lagrangian for Spek, or for
+    HalfSpek the blocks of a partition of the legs.  Value v of Spek and
+    MSpek is the bits (p, q) = divmod(v - 1, 2), a HalfSpek value one bit;
+    with leg 0 most significant a solution x is the index of its row in
+    ``Space.tuples()`` order.  The rows come reduced, so nothing is
+    eliminated: the kernel of A is read off them (``gf2.kernel``), and the
+    particular solutions are the sums of their pivots.  Before the walk
+    starts, ``_space_counts`` refuses the theory or leg count, and then,
+    each space on n legs holding base^n rows over its 2^k states, more
+    than MAX_ROWS rows in all are refused.
     """
-    check_theory(theory)
-    spaces = _row_spaces(theory, max_legs)    # the ceilings come first
+    counts = _space_counts(theory, max_legs)
     base = BASE[theory]
-    total = sum(sum(ks) * base ** n
-                for n, ks in _space_counts(theory, max_legs).items())
+    total = sum(sum(ks) * base ** n for n, ks in counts.items())
     if total > MAX_ROWS:
         raise CapacityError("%s states on up to %d legs hold %d rows, more "
                             "than %d" % (theory, max_legs, total, MAX_ROWS))
     indices = {}
-    for n, rows in spaces:
-        span = gf2.span(gf2.kernel(rows, n * base // 2))
-        indices.setdefault(n, []).extend(
-            sorted(p ^ s for s in span)
-            for p in gf2.span([1 << (r.bit_length() - 1) for r in rows]))
+    for n in counts:
+        for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
+                n, (n,) if theory == SPEK else range(n + 1))):
+            span = gf2.span(gf2.kernel(rows, n * base // 2))
+            indices.setdefault(n, []).extend(
+                sorted(p ^ s for s in span)
+                for p in gf2.span([1 << (r.bit_length() - 1) for r in rows]))
     for states in indices.values():
         states.sort()   # every row has n digits: this is text order
     return indices
@@ -364,8 +341,14 @@ def _space_counts(theory, max_legs):
     subspaces of Z2^(2n) (k = n only for Spek), of which there are
     prod_{i<k} (4^(n-i) - 1) / (2^(i+1) - 1), or for HalfSpek the S(n, k)
     partitions of the legs into k blocks (S(n, k) the Stirling numbers of
-    the second kind)."""
+    the second kind).  Refuses first an unknown theory, fewer than one leg
+    (``ValueError``) and more legs than ``max_arity()`` (``CapacityError``),
+    since every count and walk of states reads these."""
     check_theory(theory)
+    if max_legs < 1:
+        raise ValueError("max_legs must be at least 1")
+    if max_legs > max_arity():
+        raise CapacityError("%d legs exceed the arity ceiling" % max_legs)
     counts, stirling = {}, [1]          # S(n, k) for k = 0..n, from n = 0
     for n in range(1, max_legs + 1):
         stirling = [k * a + b for k, (a, b) in
@@ -380,7 +363,8 @@ def _space_counts(theory, max_legs):
 
 def closed_form_counts(theory=SPEK, max_legs=3):
     """The number of states on each of 1..max_legs legs, by formula: 2^k
-    states on each row space of k rows (``_space_counts``)."""
+    states on each row space of k rows (``_space_counts``, which refuses
+    what it cannot count)."""
     return {n: sum(c << k for k, c in enumerate(ks))
             for n, ks in _space_counts(theory, max_legs).items()}
 

@@ -412,15 +412,33 @@ def test_enumerate_counts_without_building_states(capsys, monkeypatch):
 
 
 def test_enumerate_refuses_what_it_cannot_count(capsys, monkeypatch):
-    monkeypatch.setattr(vf, "_isotropic", None)     # no walk may start
-    for theory, arity in (("spek", "6"), ("mspek", "6"),
-                          ("mspek", "1000000")):
-        if arity == "1000000":      # above the ceiling: no closed form
-            monkeypatch.setattr(vf, "closed_form_counts", None)
+    def one_leg(real):
+        def walk(n, *args):
+            if n > 1:
+                raise AssertionError("a walk beyond one leg started")
+            return real(n, *args)
+        return walk
+
+    monkeypatch.setattr(vf, "_isotropic", one_leg(vf._isotropic))
+    monkeypatch.setattr(vf, "_partitions", one_leg(vf._partitions))
+    for theory, want in (
+            ("spek", ["legs=5 states=2423520", "legs=6 states=315057600"]),
+            ("mspek", ["legs=5 states=21555667", "legs=6 states=7454080531"])):
         code, out, err = run(capsys, "enumerate", "--theory", theory,
-                             "--arity", arity)
-        assert code == 2 and out == "", (theory, arity)
-        assert err.startswith("error: ") and err.count("\n") == 1, arity
+                             "--arity", "6")
+        assert (code, err) == (0, ""), theory
+        assert out.splitlines()[-2:] == want, theory
+    # above the arity ceiling: no walk, no listing, and no formula, which
+    # would not finish at a million legs
+    monkeypatch.setattr(vf, "_isotropic", None)
+    monkeypatch.setattr(vf, "_partitions", None)
+    monkeypatch.setattr(vf, "enumerate_states", None)
+    for theory in ("spek", "mspek", "halfspek"):
+        for arity in ("11", "1000000"):
+            code, out, err = run(capsys, "enumerate", "--theory", theory,
+                                 "--arity", arity)
+            assert (code, out) == (2, ""), (theory, arity)
+            assert err == "error: %s legs exceed the arity ceiling\n" % arity
 
 
 def test_enumerate_refused_leaves_no_new_directory(tmp_path, capsys,
@@ -430,7 +448,7 @@ def test_enumerate_refused_leaves_no_new_directory(tmp_path, capsys,
     old.mkdir()
     for out_dir in (tmp_path / "new" / "sub", old / "sub", old):
         code, out, _ = run(capsys, "enumerate", "--theory", "mspek",
-                           "--arity", "6", "--out", str(out_dir))
+                           "--arity", "11", "--out", str(out_dir))
         assert code == 2 and out == "", out_dir
     assert os.listdir(tmp_path) == ["old"] and os.listdir(old) == []
 

@@ -13,7 +13,7 @@ from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import signatures as sg
 from spekcat.generate import random_diagram
-from spekcat.generators import GeneratorId, resolve
+from spekcat.generators import MSPEK, GeneratorId, resolve
 from spekcat.permutations import s4
 from spekcat.relations import IV, CapacityError, Relation, Space
 
@@ -83,7 +83,7 @@ def test_parse_errors_carry_line_numbers():
         assert str(exc.value) == message, source
     # parse gives every box the declared theory, so only a diagram built
     # directly can mix theories
-    d = dg.Diagram(dg.SPEK, (("e", GeneratorId("epsilon_dagger", dg.MSPEK)),),
+    d = dg.Diagram(dg.SPEK, (("e", GeneratorId("epsilon_dagger", MSPEK)),),
                    (), ((("e", "1"), "out"),))
     with pytest.raises(dg.DiagramError) as exc:
         d.validate()

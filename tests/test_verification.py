@@ -278,8 +278,7 @@ def test_unknown_theories_are_refused(name, monkeypatch):
 
     monkeypatch.setattr(vf, "_isotropic", walk)
     monkeypatch.setattr(vf, "_partitions", walk)
-    for call in (lambda: vf.count_states(name, 2),
-                 lambda: vf.closed_form_counts(name, 2),
+    for call in (lambda: vf.closed_form_counts(name, 2),
                  lambda: vf.enumerate_states(name, 2),
                  lambda: vf.enumerate_closure(name),
                  lambda: vf.check_map_state_duality(name)):
@@ -413,6 +412,15 @@ def test_random_diagrams_evaluate_to_model_states():
         assert checked > 400, theory
 
 
+def walked_counts(theory, legs):
+    """The states on each of 1..legs legs, summed as 2^k over a walk of
+    the row spaces themselves, k being a space's number of rows."""
+    return {n: sum(1 << len(rows) for rows in (
+                vf._partitions(n) if theory == "halfspek" else
+                vf._isotropic(n, (n,) if theory == "spek" else range(n + 1))))
+            for n in range(1, legs + 1)}
+
+
 def test_counts_match_the_closed_forms():
     assert vf.closed_form_counts("spek", 4) == {1: 6, 2: 60, 3: 1080,
                                                 4: 36720}
@@ -422,7 +430,7 @@ def test_counts_match_the_closed_forms():
                                                     5: 454, 6: 2430}
     for theory in THEORIES:
         want = vf.closed_form_counts(theory, 4)
-        assert vf.count_states(theory, 4) == want, theory
+        assert walked_counts(theory, 4) == want, theory
         got = vf.enumerate_states(theory, 3)
         assert {n: len(v) for n, v in got.items()} == \
             {n: want[n] for n in (1, 2, 3)}, theory
@@ -501,35 +509,35 @@ def test_state_enumeration_needs_a_leg():
     for max_legs in (0, -1):
         with pytest.raises(ValueError):
             vf.enumerate_states("spek", max_legs)
+        for theory in THEORIES:
+            with pytest.raises(ValueError, match="at least 1"):
+                vf.closed_form_counts(theory, max_legs)
 
 
-def test_counting_refuses_above_the_state_bound(monkeypatch):
+def test_counting_refuses_above_the_arity_ceiling(monkeypatch):
     def total(theory, legs):
         return sum(vf.closed_form_counts(theory, legs).values())
 
     def walk(*args):
-        raise AssertionError("a walk started before the refusal")
+        raise AssertionError("a walk started")
 
+    monkeypatch.setattr(vf, "_isotropic", walk)     # counting walks nothing
+    monkeypatch.setattr(vf, "_partitions", walk)
     assert [total("mspek", 5), total("spek", 5), total("halfspek", 10)] == \
         [21708683, 2461386, 5130120]
     assert [total("spek", 6), total("mspek", 6)] == [317518986, 7475789214]
-    assert sum(vf.count_states("halfspek", 10).values()) == 5130120
-    with monkeypatch.context() as mp:
-        mp.setattr(vf, "_isotropic", walk)
-        for theory in ("spek", "mspek"):
-            with pytest.raises(CapacityError):
-                vf.count_states(theory, 6)
-            with pytest.raises(CapacityError):
-                vf.enumerate_states(theory, 6)
-    monkeypatch.setattr(vf, "MAX_STATES", total("spek", 3))
-    assert vf.count_states("spek", 3) == {1: 6, 2: 60, 3: 1080}
-    monkeypatch.setattr(vf, "_isotropic", walk)
-    monkeypatch.setattr(vf, "MAX_STATES", total("spek", 3) - 1)
-    with pytest.raises(CapacityError):
-        vf.count_states("spek", 3)
-    monkeypatch.setattr(vf, "closed_form_counts", walk)
-    with pytest.raises(CapacityError):      # the ceiling comes first
-        vf.count_states("spek", 10 ** 6)
+    for theory, counts in (("spek", [2423520, 315057600]),
+                           ("mspek", [21555667, 7454080531])):
+        assert [vf.closed_form_counts(theory, 6)[n] for n in (5, 6)] == \
+            counts
+        with pytest.raises(CapacityError, match="rows, more than"):
+            vf.enumerate_states(theory, 6)
+    # at a million legs the formula would not finish: the ceiling comes first
+    for theory, legs in itertools.product(THEORIES, (11, 10 ** 6)):
+        for call in (vf.closed_form_counts, vf.enumerate_states):
+            with pytest.raises(CapacityError,
+                               match="%d legs exceed the arity" % legs):
+                call(theory, legs)
 
 
 def model_rows(theory, legs):
@@ -567,7 +575,7 @@ def test_enumeration_refuses_above_the_row_budget(monkeypatch):
             vf._solutions("mspek", 4)
     # the row budget bounds the tuple sets only, not the counts
     monkeypatch.setattr(vf, "MAX_ROWS", model_rows("spek", 2) - 1)
-    assert vf.count_states("spek", 2) == {1: 6, 2: 60}
+    assert vf.closed_form_counts("spek", 2) == {1: 6, 2: 60}
     with pytest.raises(CapacityError, match="hold 252 rows"):
         vf.enumerate_closure("spek")
     monkeypatch.setattr(vf, "MAX_ROWS", model_rows("spek", 2))
