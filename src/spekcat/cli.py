@@ -185,26 +185,32 @@ def _verify_lines(suites, arity):
             resolve(GeneratorId("bottom_dagger", MSPEK)))
         check("laws.bottom-not-counit", not bad["counit-left"])
         check("laws.ghz-delta", vf.ghz_delta_identity())
-    if "kbp" in suites or "cardinality" in suites:
-        spek_states = vf.enumerate_states(SPEK, arity)
-        mspek_states = vf.enumerate_states(MSPEK, arity)
+    walked = {}     # theory -> its states, balanced states and sizes by n
+    for theory in (SPEK, MSPEK, HALFSPEK):
+        if "cardinality" in suites or ("kbp" in suites and theory != HALFSPEK):
+            states, balanced, sizes = walked[theory] = {}, {}, {}
+            for n, rows in vf.row_spaces(theory, arity):
+                k = len(rows)      # 2^k states, one per coset
+                states[n] = states.get(n, 0) + (1 << k)
+                if theory != HALFSPEK:
+                    sizes.setdefault(n, set()).add(1 << 2 * n - k)
+                    if "kbp" in suites and vf.space_balanced(n, rows):
+                        balanced[n] = balanced.get(n, 0) + (1 << k)
     if "kbp" in suites:
-        for label, states in (("spek", spek_states), ("mspek", mspek_states)):
-            bad = sum(1 for n in states for s in states[n]
-                      if not vf.check_kbp(s).ok)
-            total = sum(len(v) for v in states.values())
-            check("kbp.%s" % label, bad == 0,
-                  "%d/%d states balanced" % (total - bad, total))
+        for theory in (SPEK, MSPEK):
+            total, ok = (sum(walked[theory][i].values()) for i in (0, 1))
+            check("kbp.%s" % theory, ok == total,
+                  "%d/%d states balanced" % (ok, total))
     if "cardinality" in suites:
-        cs = vf.check_mspek_cardinalities(spek_states, SPEK)
-        check("cardinality.spek-exact", cs.ok and cs.spek_exact,
-              str(cs.counts))
-        cm = vf.check_mspek_cardinalities(mspek_states, MSPEK)
-        check("cardinality.mspek-range", cm.ok, str(cm.counts))
-        for theory, states in ((SPEK, spek_states), (MSPEK, mspek_states),
-                               (HALFSPEK, vf.enumerate_states(HALFSPEK,
-                                                              arity))):
-            got = {n: len(v) for n, v in states.items()}
+        cs, cm = ({n: sorted(v) for n, v in walked[theory][2].items()}
+                  for theory in (SPEK, MSPEK))
+        check("cardinality.spek-exact",
+              all(c == 1 << n for n, v in cs.items() for c in v), str(cs))
+        check("cardinality.mspek-range",
+              all(vf._balanced(c, n) for n, v in cm.items() for c in v),
+              str(cm))
+        for theory in (SPEK, MSPEK, HALFSPEK):
+            got = walked[theory][0]
             want = vf.closed_form_counts(theory, arity)
             check("cardinality.%s-count" % theory, got == want,
                   str(got) if got == want

@@ -31,10 +31,6 @@ class Permutation(namedtuple("Permutation", "base images")):
     def __call__(self, x: int) -> int:
         return self.images[x - 1 if self.base == 4 else x]
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """self applied first, then other."""
-        return Permutation(self.base, tuple(other(self(x)) for x in self.elements()))
-
     def inverse(self) -> "Permutation":
         inv = {self(x): x for x in self.elements()}
         return Permutation(self.base, tuple(inv[x] for x in self.elements()))

@@ -218,9 +218,5 @@ def swap(a: Space, b: Space) -> Relation:
                               for x in a.tuples() for y in b.tuples()))
 
 
-def empty(dom: Space, cod: Space) -> Relation:
-    return Relation(dom, cod, frozenset())
-
-
 def scalar(present: bool = True) -> Relation:
     return Relation(I, I, frozenset([((), ())]) if present else frozenset())

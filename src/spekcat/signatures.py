@@ -33,8 +33,6 @@ from .relations import CapacityError, Relation, Space, max_arity
 
 PARITY_NAMES = {0: "Odd", 1: "Even"}
 TYPE_NAMES = {0: "12", 1: "34"}
-TYPE_VALUES = {0: (1, 2), 1: (3, 4)}
-PARITY_VALUE = {0: 2, 1: 4}      # the counted value per type
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -164,16 +162,6 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
         rows = map(tuple, map(methodcaller("to_bytes", n, "big"), rows))
         return Relation(rel.I, Space(4, n),
                         frozenset(zip(itertools.repeat(()), rows)))
-
-
-def _zone_block(sig, n_legs):
-    """All value tuples on a zone's legs matching one (parity, type) pair:
-    the definition of the blocks ``StateForm.expand`` spans in bit space.
-    """
-    parity, typ = sig
-    return [combo for combo in itertools.product(TYPE_VALUES[typ],
-                                                 repeat=n_legs)
-            if (combo.count(PARITY_VALUE[typ]) + 1) % 2 == parity]
 
 
 def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:

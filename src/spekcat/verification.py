@@ -1,14 +1,14 @@
 """State enumeration and consistency checks for the toy theories.
 
-One reader, ``_solutions``, lists the states of the phase-space model
-(Pusey, arXiv:1103.5037), the explicit description of the states the
-generators build, each as the indices of its rows.  By map-state duality
-``_split`` cuts those rows into relations m -> n: ``enumerate_states``
-at m = 0, ``enumerate_closure`` at m, n <= 1.  The duality check reads
-its maps off the index lists themselves.  States are counted by formula
-(``closed_form_counts``), not walked.  The formula's ``_space_counts``
-refuses a bad theory or leg count for every reader; ``_solutions`` adds
-MAX_ROWS.
+One walk, ``row_spaces``, lists the row spaces A of the phase-space model
+(Pusey, arXiv:1103.5037); each coset {x : Ax = c} is a state the
+generators build.  ``verify`` reads balance and sizes off A alone
+(``space_balanced``).  ``_solutions`` lists the states as the indices of
+their rows, which ``_split`` cuts into relations m -> n by map-state
+duality: ``enumerate_states`` at m = 0, ``enumerate_closure`` at
+m, n <= 1.  Duality reads its maps off the index lists.  States are
+counted by formula (``closed_form_counts``), whose ``_space_counts``
+refuses a bad theory or leg count for every reader.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ class ClosureReport(namedtuple("ClosureReport", "theory hom")):
     """``hom`` maps (m, n) to the relations with m input and n output legs."""
 
     __slots__ = ()
-
-    def relations(self, m, n):
-        return self.hom.get((m, n), [])
 
 
 # ---------------------------------------------------------------------------
@@ -79,39 +76,56 @@ def _partitions(n):
         yield blocks + [leg]
 
 
-MAX_ROWS = 10 ** 7     # the most rows the states' tuple sets may hold
+MAX_ROWS = 10 ** 7     # the most rows the model's states may hold
+
+
+def row_spaces(theory, max_legs):
+    """Each row space A of the theory's states on 1..max_legs legs, as
+    (n, its reduced rows), by leg count: an isotropic subspace, Lagrangian
+    for Spek, or for HalfSpek the blocks of a partition of the legs.  Its
+    2^k cosets {x : Ax = c} on k rows are states.  First ``_space_counts``
+    refuses the theory or leg count, then MAX_ROWS the model's rows, each
+    space on n legs holding base^n over its states."""
+    counts = _space_counts(theory, max_legs)
+    total = sum(sum(ks) * BASE[theory] ** n for n, ks in counts.items())
+    if total > MAX_ROWS:
+        raise CapacityError("%s states on up to %d legs hold %d rows, more "
+                            "than %d" % (theory, max_legs, total, MAX_ROWS))
+    for n in counts:
+        for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
+                n, (n,) if theory == SPEK else range(n + 1))):
+            yield n, rows
+
+
+def space_balanced(n, rows):
+    """Whether the 2^k states {x : Ax = c} of k reduced rows A on n legs,
+    two bits each, are balanced, by ranks alone: a state has 2^(2n-k)
+    rows, so k <= n, and its marginal on a proper leg set S 2^(2|S|-j),
+    j = k - rank(A with S's bits cleared), so j <= |S|.  A leg set s, as
+    a bitmask, spreads to S's bits read in base 4, times 3."""
+    k = len(rows)
+    return k <= n and all(
+        k - len(gf2.rref([r & cleared for r in rows])) <= s.bit_count()
+        for s in range(1, (1 << n) - 1)
+        for cleared in [~(int(format(s, "b"), 4) * 3)])
 
 
 def _solutions(theory, max_legs):
     """All states of the theory with 1..max_legs legs, each as the sorted
     indices of its rows, by leg count and in the order of their texts.
 
-    A state is the solution set {x : Ax = c} of one row space A and one
-    value vector c: an isotropic subspace, Lagrangian for Spek, or for
-    HalfSpek the blocks of a partition of the legs.  Value v of Spek and
-    MSpek is the bits (p, q) = divmod(v - 1, 2), a HalfSpek value one bit;
-    with leg 0 most significant a solution x is the index of its row in
-    ``Space.tuples()`` order.  The rows come reduced, so nothing is
-    eliminated: the kernel of A is read off them (``gf2.kernel``), and the
-    particular solutions are the sums of their pivots.  Before the walk
-    starts, ``_space_counts`` refuses the theory or leg count, and then,
-    each space on n legs holding base^n rows over its 2^k states, more
-    than MAX_ROWS rows in all are refused.
+    Value v of Spek and MSpek is the bits (p, q) = divmod(v - 1, 2), a
+    HalfSpek value one bit; with leg 0 most significant a solution x of
+    Ax = c is the index of its row in ``Space.tuples()`` order.  The rows
+    of ``row_spaces`` come reduced: the kernel of A is read off them
+    (``gf2.kernel``), and the particular solutions are their pivots' sums.
     """
-    counts = _space_counts(theory, max_legs)
-    base = BASE[theory]
-    total = sum(sum(ks) * base ** n for n, ks in counts.items())
-    if total > MAX_ROWS:
-        raise CapacityError("%s states on up to %d legs hold %d rows, more "
-                            "than %d" % (theory, max_legs, total, MAX_ROWS))
     indices = {}
-    for n in counts:
-        for rows in (_partitions(n) if theory == HALFSPEK else _isotropic(
-                n, (n,) if theory == SPEK else range(n + 1))):
-            span = gf2.span(gf2.kernel(rows, n * base // 2))
-            indices.setdefault(n, []).extend(
-                sorted(p ^ s for s in span)
-                for p in gf2.span([1 << (r.bit_length() - 1) for r in rows]))
+    for n, rows in row_spaces(theory, max_legs):
+        span = gf2.span(gf2.kernel(rows, n * BASE[theory] // 2))
+        indices.setdefault(n, []).extend(
+            sorted(p ^ s for s in span)
+            for p in gf2.span([1 << (r.bit_length() - 1) for r in rows]))
     for states in indices.values():
         states.sort()   # every row has n digits: this is text order
     return indices
@@ -128,21 +142,9 @@ def _split(theory, m, n, solutions):
 
 def enumerate_states(theory=SPEK, max_legs=3):
     """All states of the theory with 1..max_legs legs, by leg count and
-    sorted by text, as the sets of their ``((), row)`` pairs.
-
-    The cyclic garbage collector is paused while they are built: they hold
-    no cycles, and its full passes over the growing lists took about a
-    third of the time at MSpek arity 4.  The caller's setting is restored.
-    """
-    import gc
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return {n: _split(theory, 0, n, states)
-                for n, states in _solutions(theory, max_legs).items()}
-    finally:
-        if enabled:
-            gc.enable()
+    sorted by text, as the sets of their ``((), row)`` pairs."""
+    return {n: _split(theory, 0, n, states)
+            for n, states in _solutions(theory, max_legs).items()}
 
 
 def enumerate_closure(theory=SPEK) -> ClosureReport:

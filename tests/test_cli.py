@@ -287,7 +287,7 @@ def test_enumerate_writes_report(tmp_path, capsys):
             chunks = ["REL " + c for c in text.split("REL ")[1:]]
             assert text == "".join(chunks)
             got = [Relation.from_text(c) for c in chunks]
-            assert got == report.relations(m, n), (theory, m, n)
+            assert got == report.hom[(m, n)], (theory, m, n)
 
 
 def test_enumerate_out_onto_a_bad_path_is_refused_first(tmp_path, capsys,
@@ -376,20 +376,49 @@ def test_verify_compares_counts_with_closed_forms(capsys, monkeypatch):
                  "PASS cardinality.mspek-count {1: 7, 2: 91, 3: 2467}",
                  "PASS cardinality.halfspek-count {1: 2, 2: 6, 3: 22}"):
         assert line in lines
-    real = vf.enumerate_states
+    real = vf.row_spaces
 
     def drop_one(theory, max_legs):
-        states = real(theory, max_legs)
+        # MSpek's first space on 3 legs has no rows: one state
+        spaces = list(real(theory, max_legs))
         if theory == "mspek":
-            states[3] = states[3][1:]
-        return states
+            first = spaces.index((3, []))
+            spaces = spaces[:first] + spaces[first + 1:]
+        return iter(spaces)
 
-    monkeypatch.setattr(vf, "enumerate_states", drop_one)
+    monkeypatch.setattr(vf, "row_spaces", drop_one)
     code, out, _ = run(capsys, "verify", "--suite", "cardinality",
                        "--arity", "3")
     assert code == 5
     assert ("FAIL cardinality.mspek-count {1: 7, 2: 91, 3: 2466}, "
             "closed form {1: 7, 2: 91, 3: 2467}") in out.splitlines()
+
+
+def test_verify_finds_an_unbalanced_space(capsys, monkeypatch):
+    real = vf.row_spaces
+
+    def add_one(theory, max_legs):
+        # p and q of leg 0 on two legs: not isotropic, and its marginal on
+        # leg 0 is known outright, one of 4 values
+        yield from real(theory, max_legs)
+        if theory == "mspek":
+            yield 2, [0b1000, 0b0100]
+
+    monkeypatch.setattr(vf, "row_spaces", add_one)
+    code, out, _ = run(capsys, "verify", "--suite", "kbp", "--arity", "2")
+    assert code == 5
+    assert out.splitlines() == ["PASS kbp.spek 66/66 states balanced",
+                                "FAIL kbp.mspek 98/102 states balanced"]
+
+
+def test_verify_reads_row_spaces_not_states(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a state was built or checked as a relation")
+
+    for name in ("_split", "check_kbp", "enumerate_states"):
+        monkeypatch.setattr(vf, name, refuse)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--arity", "3")
+    assert code == 0 and out == VERIFY_ALL_3
 
 
 def test_enumerate_counts_without_building_states(capsys, monkeypatch):

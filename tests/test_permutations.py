@@ -10,10 +10,11 @@ from spekcat.permutations import (IDENTITY_2, IDENTITY_4, SIGMA, Z2_SWAP,
 
 
 def compose_all(perms):
-    out = IDENTITY_4
+    """The left-to-right composite of the permutations: x -> ...p2(p1(x))."""
+    images = IDENTITY_4.images
     for p in perms:
-        out = out.then(p)
-    return out
+        images = tuple(map(p, images))
+    return Permutation(4, images)
 
 
 def test_group_sizes():
@@ -77,7 +78,8 @@ def test_four_cycle_decomposition():
 
 def test_inverse():
     for p in s4():
-        assert p.then(p.inverse()) == IDENTITY_4
+        assert p.relation().then(p.inverse().relation()) == \
+            IDENTITY_4.relation()
 
 
 def test_half_restriction():

@@ -102,7 +102,7 @@ def test_compose_type_mismatch():
 
 def test_text_round_trip():
     for r in (EPS, DELTA, BOT, rel.scalar(True), rel.scalar(False),
-              rel.empty(IV, IV)):
+              Relation(IV, IV, frozenset())):
         assert Relation.from_text(r.to_text()) == r
 
 
@@ -135,7 +135,7 @@ def test_from_text_rejects_bad_header(text, header):
 
 
 def test_empty_relation_prints_marker():
-    assert "∅" in rel.empty(IV, IV).to_text()
+    assert "∅" in Relation(IV, IV, frozenset()).to_text()
 
 
 @given(small_relations())

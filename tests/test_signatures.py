@@ -31,6 +31,19 @@ INTERNALIZED_SIGNATURES = [
     (((1, 1), (1, 1)), 1),
 ]
 
+TYPE_VALUES = {0: (1, 2), 1: (3, 4)}
+PARITY_VALUE = {0: 2, 1: 4}      # the counted value per type
+
+
+def zone_block(sig, n_legs):
+    """All value tuples on a zone's legs matching one (parity, type) pair:
+    the definition of the blocks ``StateForm.expand`` spans in bit space.
+    """
+    parity, typ = sig
+    return [combo for combo in itertools.product(TYPE_VALUES[typ],
+                                                 repeat=n_legs)
+            if (combo.count(PARITY_VALUE[typ]) + 1) % 2 == parity]
+
 
 def test_triangle_profiles_and_blocks():
     form, zd = sg.state_form(golden_diagram("triangle"))
@@ -47,7 +60,7 @@ def test_triangle_expansion_block_combinatorics():
     assert len(form.signatures) == 8
     for sig, count in form.signatures:
         block = [per for per in
-                 itertools.product(*(sg._zone_block(pt, k)
+                 itertools.product(*(zone_block(pt, k)
                                      for pt, k in zip(sig, form.zone_legs)))]
         assert len(block) == 4
 
@@ -252,7 +265,7 @@ def reference_expand(form):
         inverse[orig] = pos
     pairs = set()
     for sig, _ in form.signatures:
-        per_zone = [sg._zone_block(pt, k)
+        per_zone = [zone_block(pt, k)
                     for pt, k in zip(sig, form.zone_legs)]
         for combo in itertools.product(*per_zone):
             flat = tuple(itertools.chain.from_iterable(combo))

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import operator
 import random
 
@@ -9,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from nets import golden_diagram
 from spekcat import diagrams as dg
+from spekcat import gf2
 from spekcat import relations as rel
 from spekcat import verification as vf
 from spekcat.generate import random_diagram
 from spekcat.generators import (BASE, THEORIES, GeneratorId, TheoryError,
                                 arity, generator_set, resolve)
 from spekcat.permutations import s4
-from spekcat.relations import I, CapacityError, Relation, Space
+from spekcat.relations import I, CapacityError, Relation, Space, max_arity
 
 
 def as_state(rows, n):
@@ -23,21 +25,21 @@ def as_state(rows, n):
 
 
 def test_spek_single_system_states(spek_closure_1):
-    states = spek_closure_1.relations(0, 1)
+    states = spek_closure_1.hom[(0, 1)]
     got = sorted(sorted(t[0] for _, t in s.pairs) for s in states if s.pairs)
     assert got == [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
 
 
 def test_mspek_single_system_states():
     rep = vf.enumerate_closure("mspek")
-    sizes = sorted(len(s.pairs) for s in rep.relations(0, 1) if s.pairs)
+    sizes = sorted(len(s.pairs) for s in rep.hom[(0, 1)] if s.pairs)
     assert sizes == [2, 2, 2, 2, 2, 2, 4]
 
 
 def test_single_system_maps():
     # 60 and 91 are the phase-space counts of two-leg states
     for theory, count in (("spek", 60), ("mspek", 91), ("halfspek", 6)):
-        maps = [r for r in vf.enumerate_closure(theory).relations(1, 1)
+        maps = [r for r in vf.enumerate_closure(theory).hom[(1, 1)]
                 if r.pairs]
         assert len(maps) == len(set(maps)) == count, theory
 
@@ -65,7 +67,7 @@ def test_closure_is_complete_and_sound():
 
 
 def test_closure_contains_empty_scalar(spek_closure_1):
-    scalars = spek_closure_1.relations(0, 0)
+    scalars = spek_closure_1.hom[(0, 0)]
     assert rel.scalar(True) in scalars
     assert rel.scalar(False) in scalars
 
@@ -155,6 +157,42 @@ def test_kbp_counts_as_the_marginals_do():
     assert any(v.ok for v in verdicts) and not all(v.ok for v in verdicts)
 
 
+def cosets(n, rows):
+    """The states {x : Ax = c} of the rows A on n legs, one per value c of
+    Ax, built row by row: x is the index of a row in ``Space.tuples()``
+    order, bits 2i+1 and 2i the p and q of leg n-1-i."""
+    groups = {}
+    for x, row in enumerate(Space(4, n).tuples()):
+        c = tuple((r & x).bit_count() & 1 for r in rows)
+        groups.setdefault(c, []).append(row)
+    return [as_state(group, n) for group in groups.values()]
+
+
+@pytest.mark.parametrize("theory, count", [("spek", 1146), ("mspek", 2565)])
+def test_space_verdict_matches_kbp_on_every_coset(theory, count):
+    states = 0
+    for n, rows in vf.row_spaces(theory, 3):
+        verdict = vf.space_balanced(n, rows)
+        for state in cosets(n, rows):
+            assert vf.check_kbp(state).ok == verdict, (n, rows)
+            states += 1
+    assert states == count
+
+
+def test_space_verdict_matches_kbp_on_random_subspaces():
+    # any subspace of up to 4 legs, isotropic or not, as reduced rows
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        rows = gf2.rref(rng.getrandbits(2 * n)
+                        for _ in range(rng.randint(0, 2 * n)))
+        verdicts.append(vf.space_balanced(n, rows))
+        for state in cosets(n, rows):
+            assert vf.check_kbp(state).ok == verdicts[-1], (n, rows)
+    assert 250 < verdicts.count(False) < 750
+
+
 def test_spek_cardinalities_exact(spek_states_3):
     verdict = vf.check_mspek_cardinalities(spek_states_3, "spek")
     assert verdict.ok and verdict.spek_exact
@@ -240,7 +278,7 @@ def _matrix(r):
 @pytest.mark.parametrize("theory", THEORIES)
 def test_duality_reads_the_closure_maps_off_the_states(theory):
     # the two-leg states bent by _matrix are the closure's (1, 1) hom set
-    hom = vf.enumerate_closure(theory).relations(1, 1)
+    hom = vf.enumerate_closure(theory).hom[(1, 1)]
     assert vf._bent_maps(theory) == [_matrix(r) for r in hom]
     assert vf._bent_maps(theory)[:-1] == [
         _matrix(s) for s in vf.enumerate_states(theory, 2)[2]]
@@ -436,13 +474,27 @@ def test_counts_match_the_closed_forms():
             {n: want[n] for n in (1, 2, 3)}, theory
 
 
+def test_spek_counts_are_the_stabilizer_state_counts(monkeypatch):
+    # 2^n prod_{k=1..n} (2^k + 1), the n-qubit stabilizer states
+    # (Aaronson-Gottesman, quant-ph/0406196), by formula alone
+    def walk(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(vf, "_isotropic", walk)
+    counts = vf.closed_form_counts("spek", max_arity())
+    assert list(counts) == list(range(1, max_arity() + 1))
+    for n, count in counts.items():
+        assert count == 2 ** n * math.prod(2 ** k + 1
+                                           for k in range(1, n + 1)), n
+
+
 def enumeration_records():
     for theory in THEORIES:
         if theory != "mspek":
             rep = vf.enumerate_closure(theory)
             yield "closure %s" % theory
             for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                for r in rep.relations(*key):
+                for r in rep.hom[key]:
                     yield r.to_text()
         for legs in (1, 2, 3):
             yield "states %s %d" % (theory, legs)
@@ -478,11 +530,12 @@ def four_case_closure(theory):
     one = Space(BASE[theory], 1)
     return {
         (0, 0): [rel.scalar(True), rel.scalar(False)],
-        (0, 1): states[1] + [rel.empty(I, one)],
-        (1, 0): [s.converse() for s in states[1]] + [rel.empty(one, I)],
+        (0, 1): states[1] + [Relation(I, one, frozenset())],
+        (1, 0): [s.converse() for s in states[1]]
+        + [Relation(one, I, frozenset())],
         (1, 1): [Relation(one, one, frozenset(((x,), (y,)) for _, (x, y)
                                               in s.pairs))
-                 for s in states[2]] + [rel.empty(one, one)]}
+                 for s in states[2]] + [Relation(one, one, frozenset())]}
 
 
 @pytest.mark.parametrize("theory", THEORIES)
@@ -579,22 +632,7 @@ def test_enumeration_refuses_above_the_row_budget(monkeypatch):
     with pytest.raises(CapacityError, match="hold 252 rows"):
         vf.enumerate_closure("spek")
     monkeypatch.setattr(vf, "MAX_ROWS", model_rows("spek", 2))
-    assert len(vf.enumerate_closure("spek").relations(1, 1)) == 61
-
-
-def test_enumeration_restores_the_collector_setting():
-    import gc
-    enabled = gc.isenabled()
-    try:
-        for start in (True, False):
-            (gc.enable if start else gc.disable)()
-            assert len(vf.enumerate_states("spek", 2)[2]) == 60
-            assert gc.isenabled() is start
-            with pytest.raises(CapacityError):      # above the row budget
-                vf.enumerate_states("spek", 5)
-            assert gc.isenabled() is start
-    finally:
-        (gc.enable if enabled else gc.disable)()
+    assert len(vf.enumerate_closure("spek").hom[(1, 1)]) == 61
 
 
 def test_enumerations_match_pinned_digest():
