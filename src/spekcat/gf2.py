@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
-def rref(rows) -> List[int]:
-    """Reduced row echelon form, rows in decreasing order; zero rows are
-    dropped."""
-    pivots = {}                  # leading bit -> the one row leading there
+def _pivots(rows) -> Dict[int, int]:
+    """Forward elimination: each leading bit -> the one row leading there."""
+    pivots = {}
     for row in rows:
         while row:
             lead = row.bit_length() - 1
@@ -16,6 +15,18 @@ def rref(rows) -> List[int]:
                 pivots[lead] = row
                 break
             row ^= pivots[lead]
+    return pivots
+
+
+def rank(rows) -> int:
+    """The dimension of the rows' span, by forward elimination alone."""
+    return len(_pivots(rows))
+
+
+def rref(rows) -> List[int]:
+    """Reduced row echelon form, rows in decreasing order; zero rows are
+    dropped."""
+    pivots = _pivots(rows)
     # back-substitute, lowest pivot first, so each pivot appears in exactly
     # one row.  A reduced row is zero at every other lower pivot, so
     # clearing one pivot bit leaves the others as they were.

@@ -21,9 +21,10 @@ kernel), each of multiplicity 2^(dim kernel - r).
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import namedtuple
 from functools import cached_property
-from operator import methodcaller, xor
+from operator import xor
 from typing import Tuple
 
 from . import gf2
@@ -34,6 +35,19 @@ from .relations import CapacityError, Relation, Space, max_arity
 PARITY_NAMES = {0: "Odd", 1: "Even"}
 TYPE_NAMES = {0: "12", 1: "34"}
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_VALUES = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x02\x03\x04")
+
+
+def _xor_at_bits(table, x):
+    """The XOR of ``table[i]`` over the set bits i of x.  Bits are read from
+    the top down: clearing the top bit of a wide word costs one XOR, where
+    isolating the lowest negates the whole word."""
+    y = 0
+    while x:
+        top = x.bit_length() - 1
+        y ^= table[top]
+        x ^= 1 << top
+    return y
 
 
 class ConstraintSystem(namedtuple("ConstraintSystem", "n_vars rows rhs")):
@@ -44,7 +58,7 @@ class ConstraintSystem(namedtuple("ConstraintSystem", "n_vars rows rhs")):
 
     @property
     def rank(self):
-        return len(gf2.rref(self.rows))
+        return gf2.rank(self.rows)
 
     def to_text(self) -> str:
         lines = []
@@ -127,17 +141,23 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
         is a 1 per leg's byte plus a word y with t and b in bits s + 1 and
         s of the byte.  The ys are one affine space: the signatures lifted
         (a zone's type to each leg's t, its parity to its first leg's b),
-        plus per further leg a flip of its b and the first leg's.  A form
-        with more legs than ``evaluate``'s joins may hold, twice
-        ``max_arity()``, raises ``CapacityError``.
+        plus per further leg a flip of its b and the first leg's.  They are
+        built in one buffer of n bytes a row: from the lifted shift, each
+        direction doubles it with a copy XORed with that direction in every
+        row, and one translate adds the 1s.  A form with more legs than
+        ``evaluate``'s joins may hold, twice ``max_arity()``, raises
+        ``CapacityError``.
         """
         n = self.n_legs
         ceiling = 2 * max_arity()
         if n > ceiling:
             raise CapacityError("expanding %d legs exceeds the ceiling of %d"
                                 % (n, ceiling))
-        rows = []
-        if self.shift is not None:
+        if self.shift is None:
+            rows = []
+        elif not n:
+            rows = [()]
+        else:
             types, parities, flips = [], [], []
             legs = iter([1 << 8 * (n - 1 - orig) for orig in self.leg_order])
             for k in self.zone_legs:
@@ -146,20 +166,15 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
                 parities.append(bits[0])
                 flips += [bits[0] | b for b in bits[1:]]
             lift = (types + parities)[::-1]      # packed bit i -> y
-            ones = sum(types) >> 1               # a 1 in each leg's byte
-
-            def lifted(w):
-                y = 0
-                for v in lift:
-                    if w & 1:
-                        y ^= v
-                    w >>= 1
-                return y
             # parity 0, Odd, is an odd count of b: each first b flips
-            y0 = lifted(self.shift ^ (1 << len(parities)) - 1)
-            rows = [ones + (y0 ^ y) for y in
-                    gf2.span([lifted(w) for w in self.basis] + flips)]
-        rows = map(tuple, map(methodcaller("to_bytes", n, "big"), rows))
+            buf = _xor_at_bits(lift, self.shift ^ (1 << len(parities)) - 1
+                               ).to_bytes(n, "big")
+            for y in [_xor_at_bits(lift, w) for w in self.basis] + flips:
+                size = len(buf)
+                buf += (int.from_bytes(buf, "big") ^ int.from_bytes(
+                    y.to_bytes(n, "big") * (size // n), "big")).to_bytes(
+                        size, "big")
+            rows = struct.iter_unpack("%dB" % n, buf.translate(_VALUES))
         return Relation(rel.I, Space(4, n),
                         frozenset(zip(itertools.repeat(()), rows)))
 
@@ -185,19 +200,24 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
     if solved is not None:
         particular, kernel = solved
         # a signature packed into 2e bits, the types above the parities, so
-        # that packed values sort as the signatures do, by (types, parities)
-        outputs = [(1 << i, 0) for i in external] + [maps[i] for i in external]
-
-        def pack(x):
-            out = 0
-            for mask, offset in outputs:
-                out = (out << 1) | (((mask & x).bit_count() + offset) & 1)
-            return out
-
-        # the image is pack(particular) plus the span of the kernel's images
-        # under the map's linear part
-        basis = tuple(gf2.rref([pack(k) ^ pack(0) for k in kernel]))
-        shift = pack(particular)
+        # that packed values sort as the signatures do, by (types, parities).
+        # The map's linear part, column by column: cols[i] is the image of
+        # type bit i (its zone's type, and each parity whose mask holds it),
+        # so an image is the offsets plus the columns at its set bits.
+        e = len(external)
+        cols, offsets = [0] * system.n_vars, 0
+        for k, i in enumerate(external):
+            cols[i] ^= 1 << 2 * e - 1 - k
+            mask, offset = maps[i]
+            bit = 1 << e - 1 - k
+            if offset & 1:
+                offsets |= bit
+            while mask:
+                top = mask.bit_length() - 1
+                cols[top] ^= bit
+                mask ^= 1 << top
+        basis = tuple(gf2.rref([_xor_at_bits(cols, k) for k in kernel]))
+        shift = offsets ^ _xor_at_bits(cols, particular)
         multiplicity = 1 << (len(kernel) - len(basis))
     return StateForm(tuple(len(zd.zones[i].legs) for i in external),
                      zd.leg_reorder, system, shift, basis, multiplicity), zd

@@ -105,7 +105,7 @@ def space_balanced(n, rows):
     a bitmask, spreads to S's bits read in base 4, times 3."""
     k = len(rows)
     return k <= n and all(
-        k - len(gf2.rref([r & cleared for r in rows])) <= s.bit_count()
+        k - gf2.rank([r & cleared for r in rows]) <= s.bit_count()
         for s in range(1, (1 << n) - 1)
         for cleared in [~(int(format(s, "b"), 4) * 3)])
 

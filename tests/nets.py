@@ -90,6 +90,21 @@ def chain(n):
     return net.text([z[0] for z in zones])
 
 
+def grid(w):
+    """w x w zones, each Sigma-linked to its right and lower neighbours;
+    the corner zone has one extra port, the only leg."""
+    net = Net()
+    ports = [[net.zone((r > 0) + (r < w - 1) + (c > 0) + (c < w - 1)
+                       + (r == c == 0)) for c in range(w)] for r in range(w)]
+    for r in range(w):
+        for c in range(w):
+            if c < w - 1:
+                net.link(ports[r][c].pop(), ports[r][c + 1].pop())
+            if r < w - 1:
+                net.link(ports[r][c].pop(), ports[r + 1][c].pop())
+    return net.text(ports[0][0])
+
+
 def zone_profile(diagram, boxes):
     """(psi(0), psi(1)) of a zone, by counting swap shadows: 1 plus the
     number of its perm boxes that restrict to the two-level swap on the

@@ -43,6 +43,15 @@ def test_rref_matches_reference_on_random_matrices():
         assert gf2.rref(rows) == sorting_rref(rows, ncols)
 
 
+def test_rank_is_the_reference_basis_size():
+    rng = random.Random(1)
+    for _ in range(500):
+        ncols = rng.randint(1, 40)
+        rows = random_rows(rng, rng.randint(0, 64), ncols)
+        assert gf2.rank(rows) == len(sorting_rref(rows, ncols))
+    assert gf2.rank([]) == gf2.rank([0, 0]) == 0
+
+
 def test_rref_is_reduced():
     reduced = gf2.rref([0b1101, 0b0110, 0b0011, 0b0000, 0b1101])
     leads = [r.bit_length() - 1 for r in reduced]

@@ -4,14 +4,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nets import (EMPTY_SCALAR, chain, fan, golden_diagram, odd_adjacency,
-                  zone_profile)
+from nets import (EMPTY_SCALAR, chain, chain_int, fan, golden_diagram, grid,
+                  odd_adjacency, zone_profile)
 from spekcat import diagrams as dg
 from spekcat import gf2
 from spekcat import signatures as sg
 from spekcat.generate import random_diagram
 from spekcat import relations as rel
 from spekcat.relations import CapacityError, Relation, Space
+from test_diagrams import rewrite_inputs
 
 TRIANGLE_SIGNATURES = [
     (((0, 0), (0, 0), (1, 0)), 1),
@@ -315,6 +316,100 @@ def test_expand_of_zero_leg_forms():
     assert unit.expand() == reference_expand(unit)
     assert unit.expand().pairs == frozenset({((), ())})
     assert not sg.StateForm((), (), NO_EQUATIONS, None, (), 0).expand().pairs
+
+
+def test_expand_matches_evaluate_at_the_edges():
+    # no legs: the unit scalar
+    unit = dg.parse("box u: eps+\nbox c: eps\nwire u.1 c.in\n")
+    form, _ = sg.state_form(unit)
+    assert form.zone_legs == () and form.shift is not None
+    assert form.expand().pairs == frozenset({((), ())})
+    assert form.expand() == dg.evaluate(dg.as_state(unit))
+    # no solution: empty, with the legs' codomain
+    empty = dg.parse(EMPTY_SCALAR + "box e: eps+\nbox d: delta\n"
+                     "wire e.1 d.in\nout d.1 d.2\n")
+    form, _ = sg.state_form(empty)
+    assert form.shift is None
+    assert form.expand() == Relation(rel.I, Space(4, 2), frozenset())
+    assert form.expand() == dg.evaluate(dg.as_state(empty))
+    # zones of several legs, so the per-leg flips are used, in a leg order
+    # that interleaves the zones
+    mixed = dg.parse("box a: eps+\nbox d: delta\nwire a.1 d.in\n"
+                     "box e: delta\nwire d.2 e.in\n"
+                     "box b: eps+\nbox p: perm((12))\nwire b.1 p.in\n"
+                     "out e.1 p.1 d.1 e.2\n")
+    form, _ = sg.state_form(mixed)
+    assert form.zone_legs == (3, 1) and form.leg_order == (0, 2, 3, 1)
+    assert form.expand() == dg.evaluate(dg.as_state(mixed))
+    for d in (copy_tree(5), golden_diagram("triangle")):
+        form, _ = sg.state_form(d)
+        assert max(form.zone_legs) > 1
+        assert form.expand() == dg.evaluate(dg.as_state(d))
+
+
+def reference_state_form(d):
+    """``state_form`` with each kernel vector packed through every output's
+    mask and offset in turn: the direct reading of the signature map."""
+    zd = dg.zone_decompose(dg.as_state(d))
+    maps, internal, external = zd.parity, zd.internal_zones, zd.external_zones
+    system = sg.ConstraintSystem(len(zd.zones),
+                                 tuple(maps[i][0] for i in internal),
+                                 tuple(1 ^ maps[i][1] for i in internal))
+    shift, basis, multiplicity = None, (), 0
+    solved = gf2.solve(system.rows, system.rhs, system.n_vars)
+    if solved is not None:
+        particular, kernel = solved
+        outputs = [(1 << i, 0) for i in external] + [maps[i] for i in external]
+
+        def pack(x):
+            out = 0
+            for mask, offset in outputs:
+                out = (out << 1) | (((mask & x).bit_count() + offset) & 1)
+            return out
+
+        basis = tuple(gf2.rref([pack(k) ^ pack(0) for k in kernel]))
+        shift = pack(particular)
+        multiplicity = 1 << (len(kernel) - len(basis))
+    return sg.StateForm(tuple(len(zd.zones[i].legs) for i in external),
+                        zd.leg_reorder, system, shift, basis, multiplicity)
+
+
+def test_state_form_matches_the_packed_reference():
+    families = ([chain(n) for n in (40, 100)] + [fan(m) for m in (20, 30)]
+                + [chain_int(n) for n in (100, 200)] + [grid(6)])
+    checked = 0
+    for d in itertools.chain(rewrite_inputs(), map(dg.parse, families)):
+        assert sg.state_form(d)[0] == reference_state_form(d)
+        checked += 1
+    assert checked > 1500
+
+
+def test_state_form_scales_near_linearly_on_long_chains(monkeypatch):
+    # the signature map is built column by column: chain(4000) takes about
+    # 4 to 6 times as long as chain(1000); packing every kernel vector
+    # through every output took 16
+    monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
+
+    def best_of_3(n):
+        d = dg.parse(chain(n))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            sg.state_form(d)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(4000) / best_of_3(1000) < 8
+
+
+def test_grid_forms_match_evaluate():
+    # w x w zones, treewidth w, one leg: the state has 2 rows
+    for w in range(2, 6):
+        d = dg.parse(grid(w))
+        assert sg.state_form(d)[0].expand() == dg.evaluate(dg.as_state(d))
+    form, zd = sg.state_form(dg.parse(grid(40)))
+    assert len(zd.zones) == 1600 and len(zd.links) == 3120
+    assert len(form.expand().pairs) == 2
 
 
 def tally_per_solution(d):
