@@ -16,9 +16,11 @@ unchanged.  Sigma normalisation looks ports up in its input's index and
 builds none for its output; zone decomposition classes each box of the
 normal form in one scan and reads each Sigma box's ends off its scan of
 the wires.  Evaluation reads its variables off the index, and reduces a
-wire from a box to itself when it builds that box's factor; its schedule
-keeps one row of wire counts per factor, and a join merges the second
-factor's row into the first's.
+wire from a box to itself when it builds that box's factor.  It then
+applies each one-variable factor and each bijection to the factor its wire
+reaches, so the schedule joins what is left, mostly copies and their
+daggers; the schedule keeps one row of wire counts per factor, and a join
+merges the second factor's row into the first's.
 """
 
 from __future__ import annotations
@@ -279,7 +281,17 @@ def _join(f1: _Factor, f2: _Factor) -> _Factor:
 def evaluate(d: Diagram) -> Relation:
     """The relation a diagram denotes; independent of contraction order.
 
-    One greedy schedule on the multigraph of boxes and wires: of the
+    Only copy and its dagger correlate wires.  So before any join, one pass
+    in box order applies each one-variable factor and each bijection box
+    (perm, id) to the box its wire reaches: a one-variable factor keeps
+    that box's rows whose value there it holds, and a bijection relabels
+    that box's value through its map, moving it to the bijection's other
+    wire (or, when that wire ends on the same box, keeps the rows that
+    agree through the map).  The ceiling rule of a join holds: an
+    absorption whose two factors hold more than the ceiling's variables
+    together is skipped, and the box is left to the schedule.
+
+    Then one greedy schedule on the multigraph of what is left: of the
     factor pairs linked by a wire, join the one with the narrowest result,
     ties to the earliest pair in factor order.  A join contracts the pair
     into one node, whose wire counts are the sums of theirs.  A join whose
@@ -296,12 +308,14 @@ def evaluate(d: Diagram) -> Relation:
     box_id = {name: i for i, (name, _) in enumerate(d.boxes)}
     links = {i: {} for i in range(len(d.boxes))}  # i -> {j: wires i to j}
     looped = set()                  # boxes with a wire to themselves
-    for (a, _), (b, _) in d.wires:
+    ends = [None] * len(d.wires)    # wire -> the two factors holding it
+    for w, ((a, _), (b, _)) in enumerate(d.wires):
         i, j = box_id[a], box_id[b]
         if i == j:
             looped.add(i)
         else:
             links[i][j] = links[j][i] = links[i].get(j, 0) + 1
+            ends[w] = [i, j]
 
     # factors by id; ids grow, so id order is the factor order
     factors = {}
@@ -321,7 +335,55 @@ def evaluate(d: Diagram) -> Relation:
         factors[i] = _Factor(vars, rows)
     if not factors:
         return rel.scalar(True)
-    ids = count(len(factors))
+
+    # absorb the one-variable factors and the bijections into the factor
+    # their wire reaches, which is edited in place; its rows are rebuilt,
+    # as box rows are shared
+    for i, (_, gen) in enumerate(d.boxes):
+        f = factors.get(i)
+        if f is None:
+            continue
+        n = len(f.vars)
+        if n == 1:
+            k = 0
+        elif n == 2 and gen.tag in ("perm", "identity"):    # a bijection
+            k = 0 if f.vars[0][0] == "w" else 1     # through its first wire
+        else:
+            continue
+        v = f.vars[k]
+        if v[0] != "w":                 # a leg
+            continue
+        e = ends[v[1]]
+        j = e[0] + e[1] - i             # the wire's other factor
+        g = factors[j]
+        vars = g.vars
+        u = f.vars[1 - k] if n == 2 else None
+        if len(vars) + (u is not None and u not in vars) > ceiling:
+            continue
+        p = vars.index(v)
+        if n == 1:
+            g.rows = {r[:p] + r[p + 1:] for r in g.rows
+                      if r[p:p + 1] in f.rows}
+            del vars[p]
+        else:
+            to = dict(f.rows) if k == 0 else {b: a for a, b in f.rows}
+            if u in vars:               # both its wires end on g
+                q = vars.index(u)
+                keep = [m for m in range(len(vars)) if m != p and m != q]
+                project = _projection(keep)
+                g.rows = {project(r) for r in g.rows if to[r[p]] == r[q]}
+                g.vars = [vars[m] for m in keep]
+            else:
+                g.rows = {r[:p] + (to[r[p]],) + r[p + 1:] for r in g.rows}
+                vars[p] = u
+                if u[0] == "w":         # its other wire reaches a third box
+                    eu = ends[u[1]]
+                    m = eu[0] + eu[1] - i
+                    eu[:] = j, m
+                    del links[m][i]
+                    links[j][m] = links[m][j] = links[j].get(m, 0) + 1
+        del factors[i], links[i], links[j][i]
+    ids = count(len(d.boxes))
 
     # (width of the join, i, j), i < j, for factors linked by a wire.  A
     # join's node is new and a factor changes only by being joined, so an

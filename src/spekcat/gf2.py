@@ -55,18 +55,21 @@ def span(vectors) -> List[int]:
 def kernel(reduced, ncols) -> List[int]:
     """A kernel basis of reduced rows (each pivot in one row only) over
     ncols columns: per free column f, f plus the pivots of the rows that
-    hold f."""
+    hold f.  Each row's free bits are read once, from the top down."""
     pivots = 0
+    held = {}                    # free column -> the pivots of rows holding it
     for row in reduced:
-        pivots |= 1 << row.bit_length() - 1
+        pivot = 1 << row.bit_length() - 1
+        pivots |= pivot
+        row ^= pivot
+        while row:
+            top = row.bit_length() - 1
+            held[top] = held.get(top, 0) | pivot
+            row ^= 1 << top
     basis = []
     for f in range(ncols):
         if not pivots >> f & 1:
-            vec = 1 << f
-            for row in reduced:
-                if row >> f & 1:
-                    vec |= 1 << row.bit_length() - 1
-            basis.append(vec)
+            basis.append(1 << f | held.get(f, 0))
     return basis
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import os
 import random
 import time
@@ -7,13 +6,13 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from nets import (GOLDEN, chain, chain_int, fan, golden_diagram,
+from nets import (GOLDEN, chain, chain_int, fan, golden_diagram, grid,
                   odd_adjacency, reference_parity)
 from spekcat import diagrams as dg
 from spekcat import relations as rel
 from spekcat import signatures as sg
 from spekcat.generate import random_diagram
-from spekcat.generators import MSPEK, GeneratorId, resolve
+from spekcat.generators import BASE, MSPEK, GeneratorId, resolve
 from spekcat.permutations import s4
 from spekcat.relations import IV, CapacityError, Relation, Space
 
@@ -387,49 +386,120 @@ def test_capacity_errors_follow_the_schedule(monkeypatch):
     assert tuple(raised) == CAPACITY_SEEDS
 
 
-def rescanning_schedule(d):
-    """Reference: the joins the greedy scheduler makes, as pairs of factor
-    variable lists, recounting every variable for every candidate pair."""
+def box_factors(d):
+    """Reference: each box's factor, its variables named as in
+    ``Diagram.ports`` and its rows from ``resolve``, a wire from the box to
+    itself kept where its two ends agree and summed out; and the legs'
+    variables."""
     port_var = {}
     for w, (a, b) in enumerate(d.wires):
         port_var[a] = port_var[b] = ("w", w)
     for port, _ in d.legs:
         port_var[port] = ("l", port)
-    protected = {("l", port) for port, _ in d.legs}
-    factors = [list(dict.fromkeys(port_var[(name, s)] for s in dg.slots(gen)))
-               for name, gen in d.boxes]
+    factors = []
+    for name, gen in d.boxes:
+        vars = [port_var[(name, s)] for s in dg.slots(gen)]
+        rows = {a + b for a, b in resolve(gen).pairs}
+        for v in set(vars):
+            if vars.count(v) == 2:
+                i = vars.index(v)
+                j = vars.index(v, i + 1)
+                rows = {tuple(x for k, x in enumerate(r) if k not in (i, j))
+                        for r in rows if r[i] == r[j]}
+                vars = [u for u in vars if u != v]
+        factors.append(dg._Factor(vars, rows))
+    return factors, {("l", port) for port, _ in d.legs}
 
-    def count(v):
-        return sum(v in f for f in factors)
 
-    def eliminable(fa, fb):
-        return {v for v in fa if v in fb and count(v) == 2
-                and v not in protected}
+def absorbed(d, factors, protected):
+    """Reference for evaluate's first pass, on variable lists: in box
+    order, a one-variable factor, or a perm or id box, with a wire to
+    another factor is applied to it and leaves the list.  A one-variable
+    factor takes its variable away; a bijection renames it to its own other
+    variable, and takes both away when that one is on the same factor."""
+    live = dict(enumerate(f.vars for f in factors))
+    for i, (_, gen) in enumerate(d.boxes):
+        f = live.get(i)
+        if f is None or not (len(f) == 1 or len(f) == 2 and gen.tag in (
+                "perm", "identity")):
+            continue
+        wired = [v for v in f if v not in protected]
+        if not wired:
+            continue
+        v = wired[0]
+        j, = [k for k, g in live.items() if k != i and v in g]
+        rest = [u for u in f if u != v]
+        if rest and rest[0] not in live[j]:
+            live[j] = [rest[0] if u == v else u for u in live[j]]
+        else:
+            live[j] = [u for u in live[j] if u not in f]
+        del live[i]
+    return [dg._Factor(vars, None) for vars in live.values()]
 
-    factors = [[v for v in f if count(v) > 1 or v in protected]
-               for f in factors]
-    joins = []
+
+def rescanning_contract(factors, protected, join):
+    """Reference: the greedy schedule, recounting every variable for every
+    candidate pair at each step; ``join`` makes each join.  The last
+    factor, or None when there is none."""
     while len(factors) > 1:
+        holders = {}
+        for k, f in enumerate(factors):
+            for v in f.vars:
+                holders.setdefault(v, []).append(k)
+
+        def eliminable(fa, fb):
+            return {v for v in fa.vars if v in fb.vars
+                    and len(holders[v]) == 2 and v not in protected}
+
         candidates = [
-            (len(set(factors[i]) | set(factors[j]))
+            (len(set(factors[i].vars) | set(factors[j].vars))
              - len(eliminable(factors[i], factors[j])), i, j)
-            for i, j in itertools.combinations(range(len(factors)), 2)
-            if set(factors[i]) & set(factors[j])]
+            for i, j in {tuple(ks) for ks in holders.values()
+                         if len(ks) == 2}]
         if not candidates:          # disconnected: tensor in factor order
             merged = factors[0]
             for f in factors[1:]:
-                joins.append((merged, f))
-                merged = merged + f
-            break
+                merged = join(merged, f)
+            return merged
         _, i, j = min(candidates)
-        fi, fj = factors[i], factors[j]
-        joins.append((fi, fj))
-        gone = eliminable(fi, fj)
-        merged = [v for v in fi + [v for v in fj if v not in fi]
-                  if v not in gone]
+        merged = join(factors[i], factors[j])
         factors = [f for k, f in enumerate(factors) if k not in (i, j)]
         factors.append(merged)
+    return factors[0] if factors else None
+
+
+def rescanning_schedule(d):
+    """Reference: the joins the greedy scheduler makes after the absorption
+    pass, as pairs of factor variable lists."""
+    factors, protected = box_factors(d)
+    joins = []
+
+    def join(f1, f2):
+        joins.append((f1.vars, f2.vars))
+        # the two share only wires, which die in their join
+        return dg._Factor([v for v in f1.vars if v not in f2.vars]
+                          + [v for v in f2.vars if v not in f1.vars], None)
+
+    rescanning_contract(absorbed(d, factors, protected), protected, join)
     return joins
+
+
+def reference_evaluate(d):
+    """Reference for evaluate: every box's factor, no absorption, joined
+    by ``join_then_drop`` in the rescanning schedule."""
+    factors, protected = box_factors(d)
+    final = rescanning_contract(
+        factors, protected, lambda f1, f2: dg._Factor(*join_then_drop(f1, f2)))
+    if final is None:
+        return rel.scalar(True)
+    pos = {v: k for k, v in enumerate(final.vars)}
+    ins = [pos["l", p] for p, dr in d.legs if dr == "in"]
+    outs = [pos["l", p] for p, dr in d.legs if dr == "out"]
+    base = BASE[d.theory]
+    return Relation(Space(base, len(ins)), Space(base, len(outs)),
+                    frozenset((tuple(r[k] for k in ins),
+                               tuple(r[k] for k in outs))
+                              for r in final.rows))
 
 
 def test_schedule_matches_rescanning_reference(monkeypatch):
@@ -452,6 +522,91 @@ def test_schedule_matches_rescanning_reference(monkeypatch):
         joins.clear()
         dg.evaluate(d)
         assert joins == rescanning_schedule(d)
+
+
+# Hand-made diagrams for the absorption pass: each names the case it covers.
+ABSORPTION_CASES = {
+    "perm with both ends on one box":
+        "box d: delta\nbox p: perm((12))\nwire d.1 p.in\nwire p.1 d.2\n"
+        "in d.in\n",
+    "perm with both ends legs": "box p: perm((12)(34))\nin p.in\nout p.1\n",
+    "perm on a self-loop":
+        "box p: perm((24))\nbox e: eps+\nwire p.in p.1\nout e.1\n",
+    "perm then perm then delta":
+        "box p: perm((12))\nbox q: perm((134))\nbox d: delta\n"
+        "wire p.1 q.in\nwire q.1 d.in\nin p.in\nout d.1 d.2\n",
+    "delta then perm then perm":
+        "box d: delta\nbox p: perm((23))\nbox q: perm((1234))\n"
+        "wire d.2 p.in\nwire p.1 q.in\nin d.in\nout d.1 q.1\n",
+    "perm between two copies":
+        "box d: delta\nbox p: perm((24))\nbox m: delta+\nwire d.1 m.in\n"
+        "wire d.2 p.in\nwire p.1 m.in2\nin d.in\nout m.1\n",
+    "closed eps+ into eps": "box a: eps+\nbox b: eps\nwire a.1 b.in\n",
+    "eps+ through a perm into eps":
+        "box a: eps+\nbox p: perm((12))\nbox b: eps\nwire a.1 p.in\n"
+        "wire p.1 b.in\n",
+    "eps+ through a perm into eps, empty":
+        "box a: eps+\nbox p: perm((12)(34))\nbox b: eps\nwire a.1 p.in\n"
+        "wire p.1 b.in\n",
+    "id": "box i: id\nbox d: delta\nwire i.1 d.in\nin i.in\nout d.1 d.2\n",
+    "MSpek bot and bot+":
+        "theory mspek\nbox b: bot\nbox d: delta\nbox c: bot+\n"
+        "wire b.1 d.in\nwire d.1 c.in\nout d.2\n",
+    "HalfSpek Z2 swap":
+        "theory halfspek\nbox e: eps+\nbox p: perm((01))\nbox d: delta\n"
+        "wire e.1 p.in\nwire p.1 d.in\nout d.1 d.2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABSORPTION_CASES))
+def test_absorption_edge_cases_match_the_reference(name):
+    d = dg.parse(ABSORPTION_CASES[name])
+    gens = {gen for _, gen in d.boxes}
+    before = {gen: set(dg._box_rows(gen)) for gen in gens}
+    assert dg.evaluate(d) == reference_evaluate(d)
+    assert dg.evaluate(dg.as_state(d)) == reference_evaluate(dg.as_state(d))
+    assert {gen: set(dg._box_rows(gen)) for gen in gens} == before
+
+
+def test_absorption_edge_cases_by_hand():
+    def ev(name):
+        return dg.evaluate(dg.parse(ABSORPTION_CASES[name]))
+
+    # copy's outputs related by (12): (1, 2) and (2, 1) are copies of 2,
+    # (3, 3) and (4, 4) copies of 3
+    assert ev("perm with both ends on one box") == Relation(
+        IV, rel.I, frozenset({((2,), ()), ((3,), ())}))
+    assert ev("closed eps+ into eps") == rel.scalar(True)
+    assert ev("eps+ through a perm into eps") == rel.scalar(True)
+    assert ev("eps+ through a perm into eps, empty") == rel.scalar(False)
+    assert ev("perm on a self-loop").cod.arity == 1
+
+
+@pytest.mark.parametrize("theory", ["spek", "mspek", "halfspek"])
+def test_evaluate_matches_the_reference_without_absorption(theory):
+    for seed in range(1000):
+        d = random_diagram(seed, theory, max_boxes=12)
+        assert dg.evaluate(d) == reference_evaluate(d)
+
+
+def test_evaluate_matches_the_reference_on_goldens_and_families():
+    cases = [golden_diagram(name[:-len(".spekd")])
+             for name in sorted(os.listdir(GOLDEN)) if name.endswith(".spekd")]
+    cases += [dg.parse(build(n)) for build, ns in (
+        (chain, (1, 5, 9)), (fan, (1, 4, 8)), (chain_int, (1, 8, 28)),
+        (grid, (1, 2, 4, 8))) for n in ns]
+    for d in cases:
+        assert dg.evaluate(d) == reference_evaluate(d)
+
+
+def test_evaluate_reaches_grid_11():
+    # the pass leaves the greedy schedule copies only: grid(11), refused
+    # when every perm and eps+ was a factor of its own, gives its 2 rows
+    d = dg.parse(grid(11))
+    form, _ = sg.state_form(d)
+    r = dg.evaluate(d)
+    assert r == form.expand()
+    assert len(r.pairs) == 2
 
 
 def join_then_drop(f1, f2):
@@ -632,8 +787,9 @@ def test_evaluate_scales_near_linearly_on_long_chains():
 
 
 def test_evaluate_raises_when_internal_vars_remain(monkeypatch):
-    # the one join of ETA_SRC is on the wire e.1-d.in; a join that keeps
-    # its shared variables leaves that wire in the final factor
+    # copy then its dagger on two wires: neither box is absorbed, so the
+    # heap makes the one join, on both wires; a join that keeps its shared
+    # variables leaves them in the final factor
     def keeping_join(f1, f2):
         shared = [v for v in f1.vars if v in f2.vars]
         rows = {r1 + r2 for r1 in f1.rows for r2 in f2.rows
@@ -641,8 +797,9 @@ def test_evaluate_raises_when_internal_vars_remain(monkeypatch):
                        for v in shared)}
         return dg._Factor(f1.vars + f2.vars, rows)
 
-    d = dg.parse(ETA_SRC)
-    assert dg.evaluate(d).cod.arity == 2
+    d = dg.parse("box d: delta\nbox m: delta+\nwire d.1 m.in\n"
+                 "wire d.2 m.in2\nin d.in\nout m.1\n")
+    assert dg.evaluate(d).cod.arity == 1
     monkeypatch.setattr(dg, "_join", keeping_join)
     with pytest.raises(RuntimeError):
         dg.evaluate(d)

@@ -127,6 +127,32 @@ def test_kernel_of_reduced_rows_is_a_null_space_basis():
     assert {(0, 0), (0, 10), (10, 0)} <= ranks
 
 
+def scanning_kernel(reduced, ncols):
+    """Reference: the kernel that tested every reduced row at every free
+    column."""
+    pivots = 0
+    for row in reduced:
+        pivots |= 1 << row.bit_length() - 1
+    basis = []
+    for f in range(ncols):
+        if not pivots >> f & 1:
+            vec = 1 << f
+            for row in reduced:
+                if row >> f & 1:
+                    vec |= 1 << row.bit_length() - 1
+            basis.append(vec)
+    return basis
+
+
+def test_kernel_matches_the_scanning_reference():
+    rng = random.Random(4)
+    for _ in range(20000):
+        ncols = rng.randint(0, 40)
+        reduced = gf2.rref(random_rows(rng, rng.randint(0, 48), ncols))
+        rng.shuffle(reduced)
+        assert gf2.kernel(reduced, ncols) == scanning_kernel(reduced, ncols)
+
+
 def test_solve_matches_brute_force_on_random_systems():
     rng = random.Random(3)
     for _ in range(500):
