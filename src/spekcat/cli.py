@@ -25,6 +25,8 @@ EXIT_VERIFY = 5
 EXIT_ENV = 6
 EXIT_USAGE = 7
 
+SUITES = ("kbp", "laws", "duality", "cardinality")
+
 
 class _Parser(argparse.ArgumentParser):
     """Exits with EXIT_USAGE on a bad command line (2 is the capacity code)."""
@@ -226,8 +228,7 @@ def _verify_lines(suites, arity):
 
 
 def cmd_verify(args):
-    suites = {"kbp", "laws", "duality", "cardinality"} \
-        if args.suite == "all" else {args.suite}
+    suites = SUITES if args.suite == "all" else (args.suite,)
     lines = _verify_lines(suites, args.arity)
     if args.format == "jsonl":
         import json
@@ -272,7 +273,7 @@ def main(argv=None):
 
     p = sub.add_parser("verify", help="run consistency suites")
     p.add_argument("--suite",
-                   choices=["kbp", "laws", "duality", "cardinality", "all"],
+                   choices=SUITES + ("all",),
                    default="all")
     p.add_argument("--arity", type=int, default=3)
     p.set_defaults(func=cmd_verify)

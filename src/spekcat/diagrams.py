@@ -19,8 +19,8 @@ the wires.  Evaluation reads its variables off the index, and reduces a
 wire from a box to itself when it builds that box's factor.  It then
 applies each one-variable factor and each bijection to the factor its wire
 reaches, so the schedule joins what is left, mostly copies and their
-daggers; the schedule keeps one row of wire counts per factor, and a join
-merges the second factor's row into the first's.
+daggers.  Both passes keep one graph, the two factors at the ends of each
+wire; a join moves its operands' other wire ends onto the new factor.
 """
 
 from __future__ import annotations
@@ -294,9 +294,10 @@ def evaluate(d: Diagram) -> Relation:
     Then one greedy schedule on the multigraph of what is left: of the
     factor pairs linked by a wire, join the one with the narrowest result,
     ties to the earliest pair in factor order.  A join contracts the pair
-    into one node, whose wire counts are the sums of theirs.  A join whose
-    operands hold more than twice ``max_arity()`` distinct variables
-    raises ``CapacityError``; the ceiling is read once per call.
+    into one node, which the wires of either that reach a third factor now
+    end on.  A join whose operands hold more than twice ``max_arity()``
+    distinct variables raises ``CapacityError``; the ceiling is read once
+    per call.
     """
     ceiling = 2 * max_arity()
     ports = d.ports                     # port -> its variable
@@ -306,7 +307,6 @@ def evaluate(d: Diagram) -> Relation:
     # factors hold it, and one two factors share dies with their join.  So
     # a pair's join is as wide as its two factors less twice its wire count.
     box_id = {name: i for i, (name, _) in enumerate(d.boxes)}
-    links = {i: {} for i in range(len(d.boxes))}  # i -> {j: wires i to j}
     looped = set()                  # boxes with a wire to themselves
     ends = [None] * len(d.wires)    # wire -> the two factors holding it
     for w, ((a, _), (b, _)) in enumerate(d.wires):
@@ -314,7 +314,6 @@ def evaluate(d: Diagram) -> Relation:
         if i == j:
             looped.add(i)
         else:
-            links[i][j] = links[j][i] = links[i].get(j, 0) + 1
             ends[w] = [i, j]
 
     # factors by id; ids grow, so id order is the factor order
@@ -338,7 +337,8 @@ def evaluate(d: Diagram) -> Relation:
 
     # absorb the one-variable factors and the bijections into the factor
     # their wire reaches, which is edited in place; its rows are rebuilt,
-    # as box rows are shared
+    # as box rows are shared.  A wire the pass consumes keeps an end at
+    # the absorbed box, so the heap below skips it.
     for i, (_, gen) in enumerate(d.boxes):
         f = factors.get(i)
         if f is None:
@@ -376,44 +376,46 @@ def evaluate(d: Diagram) -> Relation:
             else:
                 g.rows = {r[:p] + (to[r[p]],) + r[p + 1:] for r in g.rows}
                 vars[p] = u
-                if u[0] == "w":         # its other wire reaches a third box
+                if u[0] == "w":         # its other wire now ends on g
                     eu = ends[u[1]]
-                    m = eu[0] + eu[1] - i
-                    eu[:] = j, m
-                    del links[m][i]
-                    links[j][m] = links[m][j] = links[j].get(m, 0) + 1
-        del factors[i], links[i], links[j][i]
+                    eu[eu.index(i)] = j
+        del factors[i]
     ids = count(len(d.boxes))
 
     # (width of the join, i, j), i < j, for factors linked by a wire.  A
     # join's node is new and a factor changes only by being joined, so an
     # entry is current while both its factors are: skip the others.
+    pairs = {}                      # (i, j) -> the wires joining them
+    for e in ends:
+        if e is not None and e[0] in factors and e[1] in factors:
+            pair = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
+            pairs[pair] = pairs.get(pair, 0) + 1
     heap = sorted((len(factors[i].vars) + len(factors[j].vars) - 2 * n, i, j)
-                  for i, row in links.items() for j, n in row.items() if i < j)
+                  for (i, j), n in pairs.items())
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        width, i, j = heapq.heappop(heap)
         if i not in factors or j not in factors:
             continue
         f1, f2 = factors.pop(i), factors.pop(j)
-        row, row_j = links.pop(i), links.pop(j)
-        # the pair's own wires die in the join; j's row is merged into
-        # i's, which becomes the new factor's row
-        if len(f1.vars) + len(f2.vars) - row.pop(j) > ceiling:
+        # the operands hold the join's width plus twice their shared wires
+        if (len(f1.vars) + len(f2.vars) + width) // 2 > ceiling:
             raise CapacityError("contraction intermediate exceeds arity "
                                 "ceiling")
-        del row_j[i]
         new = next(ids)
         f = factors[new] = _join(f1, f2)
-        for m in row:
-            del links[m][i]
-        for m, n in row_j.items():
-            del links[m][j]
-            row[m] = row.get(m, 0) + n
-        links[new] = row
+        # the pair's own wires die in the join; the others now end on it
+        shared = {}                 # m -> the wires joining it to new
+        for k, g in ((i, f1), (j, f2)):
+            for v in g.vars:
+                if v[0] == "w":
+                    e = ends[v[1]]
+                    m = e[0] + e[1] - k
+                    if m != i and m != j:
+                        e[:] = m, new
+                        shared[m] = shared.get(m, 0) + 1
         width = len(f.vars)
-        for m, n in row.items():
-            links[m][new] = n
+        for m, n in shared.items():
             heapq.heappush(heap, (len(factors[m].vars) + width - 2 * n,
                                   m, new))
     final, *rest = factors.values()
@@ -481,8 +483,8 @@ def sigma_normalize(d: Diagram) -> Diagram:
     index = d.validate().ports
     if d.theory != SPEK:
         raise DiagramError("zone decomposition applies to Spek diagrams only")
-    boxes, wires, legs = dict(d.boxes), list(d.wires), list(d.legs)
-    leg_at = {port: k for k, (port, _) in enumerate(d.legs)}
+    boxes, wires = dict(d.boxes), list(d.wires)
+    legs = {leg[0]: leg for leg in d.legs}    # original port -> its leg
     held = {}           # port made or moved here -> its index entry
     names, free = set(boxes), {}     # removed names are not reused
     sigma = None                     # the Sigma generator, made when needed
@@ -516,8 +518,7 @@ def sigma_normalize(d: Diagram) -> Diagram:
         entry, other = holder(port)
         held[new_port] = entry
         if other is None:
-            k = leg_at[entry[1]]
-            legs[k] = (new_port, legs[k][1])
+            legs[entry[1]] = (new_port, legs[entry[1]][1])
         else:
             wires[entry[1]] = (other, new_port)
 
@@ -560,17 +561,14 @@ def sigma_normalize(d: Diagram) -> Diagram:
                 spacer = add_box("_i", GeneratorId("identity", SPEK))
                 reattach((name, slot), (spacer, "in"))
                 add_wire((spacer, "1"), (name, slot))
-    return Diagram(d.theory, tuple(boxes.items()), tuple(wires), tuple(legs))
+    return Diagram(d.theory, tuple(boxes.items()), tuple(wires),
+                   tuple(legs.values()))
 
 
 class Zone(namedtuple("Zone", "boxes legs")):
     """Box ids, and 0-based open-leg indices in leg order."""
 
     __slots__ = ()
-
-    @property
-    def is_internal(self):
-        return not self.legs
 
 
 class ZoneDecomposition(namedtuple(
@@ -595,11 +593,11 @@ class ZoneDecomposition(namedtuple(
 
     @property
     def external_zones(self):
-        return tuple(i for i, z in enumerate(self.zones) if not z.is_internal)
+        return tuple(i for i, z in enumerate(self.zones) if z.legs)
 
     @property
     def internal_zones(self):
-        return tuple(i for i, z in enumerate(self.zones) if z.is_internal)
+        return tuple(i for i, z in enumerate(self.zones) if not z.legs)
 
 # the tags of the boxes that are phased whatever they carry
 _PHASED_TAGS = ("delta", "delta_dagger", "epsilon", "epsilon_dagger",
@@ -649,22 +647,21 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
     # zones in the order they are met: external ones by their first leg,
     # then internal ones by their first box; boxes and legs in their order
     zone_of, zone_boxes, zone_legs, swaps = {}, [], [], []
-    for k, (port, _) in enumerate(nd.legs):
-        root = find(port[0])
+
+    def zone(box):
+        """The index of the zone of phased box ``box``, made when first met."""
+        root = find(box)
         if root not in zone_of:
             zone_of[root] = len(zone_legs)
             zone_boxes.append([])
             zone_legs.append([])
             swaps.append(0)
-        zone_legs[zone_of[root]].append(k)
+        return zone_of[root]
+
+    for k, (port, _) in enumerate(nd.legs):
+        zone_legs[zone(port[0])].append(k)
     for name, bits in swap_bits.items():
-        root = find(name)
-        if root not in zone_of:
-            zone_of[root] = len(zone_legs)
-            zone_boxes.append([])
-            zone_legs.append(())
-            swaps.append(0)
-        z = zone_of[root]
+        z = zone(name)
         zone_boxes[z].append(name)
         swaps[z] ^= bits
 
@@ -675,7 +672,7 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
         if None in ends:
             raise RuntimeError("Sigma box %s does not end in phased boxes"
                                % name)
-        a, b = sorted([zone_of[find(ends[0])], zone_of[find(ends[1])]])
+        a, b = sorted([zone(ends[0]), zone(ends[1])])
         links.append((a, b))
         if a != b:
             odd[a] ^= 1 << b

@@ -52,10 +52,6 @@ class GeneratorId(namedtuple("GeneratorId", "tag theory perm")):
         return super().__new__(cls, tag, theory, perm)
 
     @property
-    def base_space(self):
-        return Space(BASE[self.theory], 1)
-
-    @property
     def name(self) -> str:
         if self.tag == "perm":
             return "perm(%s)" % self.perm.name
@@ -98,7 +94,7 @@ def arity(gen: GeneratorId) -> Tuple[int, int]:
 
 def resolve(gen: GeneratorId) -> Relation:
     """The relation a generator denotes."""
-    space = gen.base_space
+    space = Space(BASE[gen.theory], 1)
     table = _DELTA_2 if gen.theory == HALFSPEK else _DELTA_4
     eps_kept = (0,) if gen.theory == HALFSPEK else (1, 3)
     if gen.tag == "perm":

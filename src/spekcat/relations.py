@@ -92,7 +92,7 @@ class Space(namedtuple("Space", "base arity")):
         return Space(self.base, self.arity + other.arity)
 
     def __str__(self):
-        return "%d^%d" % (self.base if self.arity else 1, self.arity)
+        return "%d^%d" % (self.base, self.arity)
 
 
 I = Space()

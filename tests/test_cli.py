@@ -312,6 +312,17 @@ def test_out_of_memory_exits_with_the_capacity_code(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+def test_eval_above_the_ceiling_exits_with_the_capacity_code(capsys,
+                                                             monkeypatch):
+    # eta's one join holds three distinct variables, more than 4 cells allow
+    monkeypatch.setenv("SPEK_MAX_CELLS", "4")
+    for fmt in ("text", "jsonl"):
+        code, out, err = run(capsys, "--format", fmt, "eval",
+                             golden("eta.spekd"))
+        assert (code, out) == (cli.EXIT_CAPACITY, ""), fmt
+        assert err.startswith("error: ") and err.count("\n") == 1, fmt
+
+
 def test_verify_at_arity_5_is_refused_at_once(capsys, monkeypatch):
     def walk(*args):
         raise AssertionError("a walk started before the refusal")

@@ -518,6 +518,10 @@ def test_schedule_matches_rescanning_reference(monkeypatch):
     cases += [dg.parse(build(n)) for build, ns in (
         (chain_int, (16, 20, 24, 28)), (fan, (10, 11, 12)),
         (chain, (9, 10, 11))) for n in ns]
+    # swap and id boxes, which random_diagram never draws; and grids, whose
+    # factors come to be joined by several wires
+    cases += [cup_state(random_wiring(seed)) for seed in range(200)]
+    cases += [dg.parse(grid(w)) for w in range(2, 7)]
     for d in cases:
         joins.clear()
         dg.evaluate(d)
@@ -587,6 +591,18 @@ def test_evaluate_matches_the_reference_without_absorption(theory):
     for seed in range(1000):
         d = random_diagram(seed, theory, max_boxes=12)
         assert dg.evaluate(d) == reference_evaluate(d)
+    if theory == "spek":        # swap and id boxes among the generators
+        for seed in range(500):
+            d = random_wiring(seed)
+            assert dg.evaluate(d) == reference_evaluate(d)
+
+
+def test_closed_form_matches_evaluate_on_random_wirings():
+    # the two oracles of compare, on diagrams with swap and id boxes
+    for seed in range(500):
+        d = random_wiring(seed)
+        form, _ = sg.state_form(d)
+        assert form.expand() == dg.evaluate(dg.as_state(d))
 
 
 def test_evaluate_matches_the_reference_on_goldens_and_families():
