@@ -35,7 +35,7 @@ from typing import Dict, Tuple
 from . import relations as rel
 from .generators import (ARITIES, BASE, SPEK, THEORIES, GeneratorId,
                          parse_generator_name, resolve)
-from .permutations import SIGMA, Z2_SWAP, sigma_decompose
+from .permutations import SIGMA, sigma_decompose
 from .relations import CapacityError, Relation, Space, max_arity
 
 Port = Tuple[str, str]
@@ -609,8 +609,8 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
 
     One scan classifies each box of the normal form as Sigma or phased,
     with its swap bits (bit 0 (1): it restricts to the swap on the {1,2}
-    ({3,4}) plane); one over the wires joins phased neighbours and finds
-    each Sigma box's ends.
+    ({3,4}) plane, so it maps 1 to 2 (3 to 4)); one over the wires joins
+    phased neighbours and finds each Sigma box's ends.
     """
     nd = sigma_normalize(d)
     parent, swap_bits, sigmas = {}, {}, []
@@ -619,8 +619,7 @@ def zone_decompose(d: Diagram) -> ZoneDecomposition:
             sigmas.append(name)
             continue
         if tag == "perm" and perm.is_phased:
-            bits = ((perm.half_restriction("12") == Z2_SWAP)
-                    | (perm.half_restriction("34") == Z2_SWAP) << 1)
+            bits = (perm.images[0] == 2) | (perm.images[2] == 4) << 1
         elif tag in _PHASED_TAGS:
             bits = 0
         else:

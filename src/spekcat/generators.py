@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from . import relations as rel
-from .permutations import perm_from_cycles
+from .permutations import perm_from_cycles, s4, z2
 from .relations import I, Relation, Space
 
 SPEK = "spek"
@@ -98,7 +98,8 @@ def resolve(gen: GeneratorId) -> Relation:
     table = _DELTA_2 if gen.theory == HALFSPEK else _DELTA_4
     eps_kept = (0,) if gen.theory == HALFSPEK else (1, 3)
     if gen.tag == "perm":
-        return gen.perm.relation()
+        return Relation(space, space, frozenset(((x,), (gen.perm(x),))
+                                                for x in space.digits()))
     if gen.tag == "identity":
         return rel.identity(space)
     if gen.tag == "swap":
@@ -116,7 +117,6 @@ def resolve(gen: GeneratorId) -> Relation:
 
 def generator_set(theory: str):
     """The generating morphisms of a theory, in deterministic order."""
-    from .permutations import s4, z2
     perms = z2() if theory == HALFSPEK else s4()
     gens = [GeneratorId("perm", theory, p) for p in perms]
     gens += [GeneratorId(t, theory) for t in ("delta", "epsilon")]

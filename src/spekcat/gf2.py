@@ -5,6 +5,27 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 
+def xor_at_bits(table, x):
+    """The XOR of ``table[i]`` over the set bits i of x.  Bits are read from
+    the top down: clearing the top bit of a wide word costs one XOR, where
+    isolating the lowest negates the whole word."""
+    y = 0
+    while x:
+        top = x.bit_length() - 1
+        y ^= table[top]
+        x ^= 1 << top
+    return y
+
+
+def scatter(table, x, label):
+    """XOR ``label`` into ``table[i]`` at each set bit i of x, from the top
+    down as in ``xor_at_bits``."""
+    while x:
+        top = x.bit_length() - 1
+        table[top] ^= label
+        x ^= 1 << top
+
+
 def _pivots(rows) -> Dict[int, int]:
     """Forward elimination: each leading bit -> the one row leading there."""
     pivots = {}
@@ -34,12 +55,7 @@ def rref(rows) -> List[int]:
     lower = 0                    # the bits of the pivots reduced so far
     for lead in sorted(pivots):
         row = pivots[lead]
-        hits = row & lower
-        while hits:
-            p = hits.bit_length() - 1
-            row ^= reduced[p]
-            hits ^= 1 << p
-        reduced[lead] = row
+        reduced[lead] = row ^ xor_at_bits(reduced, row & lower)
         lower |= 1 << lead
     return sorted(reduced.values(), reverse=True)
 
@@ -57,20 +73,12 @@ def kernel(reduced, ncols) -> List[int]:
     ncols columns: per free column f, f plus the pivots of the rows that
     hold f.  Each row's free bits are read once, from the top down."""
     pivots = 0
-    held = {}                    # free column -> the pivots of rows holding it
+    held = [0] * ncols           # free column -> the pivots of rows holding it
     for row in reduced:
         pivot = 1 << row.bit_length() - 1
         pivots |= pivot
-        row ^= pivot
-        while row:
-            top = row.bit_length() - 1
-            held[top] = held.get(top, 0) | pivot
-            row ^= 1 << top
-    basis = []
-    for f in range(ncols):
-        if not pivots >> f & 1:
-            basis.append(1 << f | held.get(f, 0))
-    return basis
+        scatter(held, row ^ pivot, pivot)
+    return [1 << f | held[f] for f in range(ncols) if not pivots >> f & 1]
 
 
 def solve(rows, rhs, ncols) -> Optional[Tuple[int, List[int]]]:

@@ -8,8 +8,6 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import Tuple
 
-from .relations import II, IV, Relation
-
 
 class Permutation(namedtuple("Permutation", "base images")):
     """A bijection on {1..4} (base 4) or {0,1} (base 2), stored by images."""
@@ -65,26 +63,6 @@ class Permutation(namedtuple("Permutation", "base images")):
         # canonical cycle notation, fixed points always written
         return "".join("(%s)" % "".join(str(d) for d in cyc)
                        for cyc in self.cycles())
-
-    def relation(self) -> Relation:
-        space = IV if self.base == 4 else II
-        return Relation(space, space,
-                        frozenset(((x,), (self(x),)) for x in self.elements()))
-
-    def half_restriction(self, side: str) -> "Permutation":
-        """The {1,2}- or {3,4}-component of a phased permutation, as a base-2 perm.
-
-        Relabelling: side "12" reads 1->0, 2->1; side "34" reads 3->0, 4->1.
-        """
-        return self._halves[side]
-
-    @cached_property
-    def _halves(self):
-        """Both components of ``half_restriction``, kept once computed."""
-        if not self.is_phased:
-            raise ValueError("%s is not phased" % self.name)
-        return {s: Permutation(2, (self(lo) - lo, self(lo + 1) - lo))
-                for s, lo in (("12", 1), ("34", 3))}
 
     def __str__(self):
         return self.name

@@ -97,7 +97,6 @@ class Space(namedtuple("Space", "base arity")):
 
 I = Space()
 IV = Space(4, 1)
-II = Space(2, 1)
 
 
 def _fmt(t: Digits) -> str:

@@ -38,18 +38,6 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 _VALUES = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x02\x03\x04")
 
 
-def _xor_at_bits(table, x):
-    """The XOR of ``table[i]`` over the set bits i of x.  Bits are read from
-    the top down: clearing the top bit of a wide word costs one XOR, where
-    isolating the lowest negates the whole word."""
-    y = 0
-    while x:
-        top = x.bit_length() - 1
-        y ^= table[top]
-        x ^= 1 << top
-    return y
-
-
 class ConstraintSystem(namedtuple("ConstraintSystem", "n_vars rows rhs")):
     """Linear conditions over the zone type bits T1, ..., Tm (1-based):
     ``rows`` holds coefficient bitmasks, bit i = T_{i+1}."""
@@ -144,18 +132,19 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
         plus per further leg a flip of its b and the first leg's.  They are
         built in one buffer of n bytes a row: from the lifted shift, each
         direction doubles it with a copy XORed with that direction in every
-        row, and one translate adds the 1s.  A form with more legs than
-        ``evaluate``'s joins may hold, twice ``max_arity()``, raises
+        row, and one translate adds the 1s.  A form with no signatures
+        gives the empty state at any width; any other form with more legs
+        than ``evaluate``'s joins may hold, twice ``max_arity()``, raises
         ``CapacityError``.
         """
         n = self.n_legs
+        if self.shift is None:
+            return Relation(rel.I, Space(4, n), frozenset())
         ceiling = 2 * max_arity()
         if n > ceiling:
             raise CapacityError("expanding %d legs exceeds the ceiling of %d"
                                 % (n, ceiling))
-        if self.shift is None:
-            rows = []
-        elif not n:
+        if not n:
             rows = [()]
         else:
             types, parities, flips = [], [], []
@@ -167,9 +156,9 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
                 flips += [bits[0] | b for b in bits[1:]]
             lift = (types + parities)[::-1]      # packed bit i -> y
             # parity 0, Odd, is an odd count of b: each first b flips
-            buf = _xor_at_bits(lift, self.shift ^ (1 << len(parities)) - 1
-                               ).to_bytes(n, "big")
-            for y in [_xor_at_bits(lift, w) for w in self.basis] + flips:
+            buf = gf2.xor_at_bits(lift, self.shift ^ (1 << len(parities)) - 1
+                                  ).to_bytes(n, "big")
+            for y in [gf2.xor_at_bits(lift, w) for w in self.basis] + flips:
                 size = len(buf)
                 buf += (int.from_bytes(buf, "big") ^ int.from_bytes(
                     y.to_bytes(n, "big") * (size // n), "big")).to_bytes(
@@ -212,12 +201,9 @@ def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
             bit = 1 << e - 1 - k
             if offset & 1:
                 offsets |= bit
-            while mask:
-                top = mask.bit_length() - 1
-                cols[top] ^= bit
-                mask ^= 1 << top
-        basis = tuple(gf2.rref([_xor_at_bits(cols, k) for k in kernel]))
-        shift = offsets ^ _xor_at_bits(cols, particular)
+            gf2.scatter(cols, mask, bit)
+        basis = tuple(gf2.rref([gf2.xor_at_bits(cols, k) for k in kernel]))
+        shift = offsets ^ gf2.xor_at_bits(cols, particular)
         multiplicity = 1 << (len(kernel) - len(basis))
     return StateForm(tuple(len(zd.zones[i].legs) for i in external),
                      zd.leg_reorder, system, shift, basis, multiplicity), zd

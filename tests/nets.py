@@ -9,7 +9,7 @@ zone with as many open ports as asked for, and each link is one Sigma box.
 import os
 
 from spekcat import diagrams as dg
-from spekcat.permutations import Z2_SWAP
+from spekcat.permutations import Z2_SWAP, Permutation
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -105,6 +105,15 @@ def grid(w):
     return net.text(ports[0][0])
 
 
+def half_restriction(perm, side):
+    """The {1,2}- or {3,4}-component of a phased permutation, as a base-2
+    permutation: side "12" reads 1, 2 as 0, 1; side "34" reads 3, 4 so."""
+    if not perm.is_phased:
+        raise ValueError("%s is not phased" % perm.name)
+    lo = 1 if side == "12" else 3
+    return Permutation(2, (perm(lo) - lo, perm(lo + 1) - lo))
+
+
 def zone_profile(diagram, boxes):
     """(psi(0), psi(1)) of a zone, by counting swap shadows: 1 plus the
     number of its perm boxes that restrict to the two-level swap on the
@@ -115,7 +124,8 @@ def zone_profile(diagram, boxes):
         swaps = 0
         for name in boxes:
             gen = box_map[name]
-            if gen.tag == "perm" and gen.perm.half_restriction(side) == Z2_SWAP:
+            if gen.tag == "perm" and \
+                    half_restriction(gen.perm, side) == Z2_SWAP:
                 swaps += 1
         psi.append((1 + swaps) % 2)
     return tuple(psi)

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from nets import half_restriction
 from spekcat import relations as rel
 from spekcat.generators import (GeneratorId, TheoryError, arity,
                                 generator_set, parse_generator_name, resolve)
-from spekcat.permutations import perm_from_cycles, phased_permutations, s4
+from spekcat.permutations import (perm_from_cycles, phased_permutations, s4,
+                                  z2)
 
 
 def test_epsilon_table():
@@ -52,8 +54,20 @@ def test_arities():
     assert arity(GeneratorId("swap", "spek")) == (2, 2)
 
 
+def test_resolve_draws_each_permutations_graph():
+    for theory, perms, space in (("spek", s4(), rel.Space(4, 1)),
+                                 ("halfspek", z2(), rel.Space(2, 1))):
+        assert len(perms) == (24 if theory == "spek" else 2)
+        for p in perms:
+            graph = frozenset(((x,), (p(x),)) for x in space.digits())
+            assert resolve(GeneratorId("perm", theory, p)) == \
+                rel.Relation(space, space, graph)
+    assert ((1,), (2,)) in resolve(
+        GeneratorId("perm", "spek", perm_from_cycles("(1234)"))).pairs
+
+
 def test_permutation_relations_distinct_and_closed():
-    rels = {p: p.relation() for p in s4()}
+    rels = {p: resolve(GeneratorId("perm", "spek", p)) for p in s4()}
     assert len(set(rels.values())) == 24
     values = set(rels.values())
     for a, b in itertools.product(rels, repeat=2):
@@ -66,7 +80,7 @@ def half_generator(g, side):
     """The HalfSpek generator a phased Spek generator restricts to on the
     values of one side ("12" reads 1, 2 as 0, 1; "34" reads 3, 4 so)."""
     if g.tag == "perm":
-        return GeneratorId("perm", "halfspek", g.perm.half_restriction(side))
+        return GeneratorId("perm", "halfspek", half_restriction(g.perm, side))
     return GeneratorId(g.tag, "halfspek")
 
 
@@ -90,7 +104,7 @@ def test_half_component_of_phased_perm():
     g = GeneratorId("perm", "spek", perm_from_cycles("(12)"))
     assert resolve(half_generator(g, "12")).pairs == frozenset(
         {((0,), (1,)), ((1,), (0,))})
-    assert resolve(half_generator(g, "34")) == rel.identity(rel.II)
+    assert resolve(half_generator(g, "34")) == rel.identity(rel.Space(2, 1))
 
 
 def test_half_component_rejects_unphased():

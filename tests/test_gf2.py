@@ -171,3 +171,44 @@ def test_solve_matches_brute_force_on_random_systems():
             particular, kernel = got
             assert {particular ^ s for s in gf2.span(kernel)} == want
             assert len(want) == 1 << len(kernel)
+
+
+def set_bits(x):
+    """The indices of x's set bits, lowest first."""
+    return [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def random_words(rng):
+    """0, single bits and seeded random words, some wider than 64 bits."""
+    words = [0, 1, 1 << 63, 1 << 64, 1 << 199]
+    for width in (1, 8, 63, 64, 65, 130, 200):
+        words += [rng.getrandbits(width) for _ in range(20)]
+    return words
+
+
+def test_xor_at_bits_matches_a_per_bit_loop():
+    rng = random.Random(5)
+    labels = [rng.getrandbits(100) for _ in range(200)]
+    for table in (labels, dict(enumerate(labels))):
+        for x in random_words(rng):
+            want = 0
+            for i in set_bits(x):
+                want ^= table[i]
+            assert gf2.xor_at_bits(table, x) == want
+    assert gf2.xor_at_bits([], 0) == gf2.xor_at_bits({}, 0) == 0
+    assert gf2.xor_at_bits({7: 5}, 1 << 7) == 5
+
+
+def test_scatter_matches_a_per_bit_loop():
+    rng = random.Random(6)
+    for make in (list, lambda values: dict(enumerate(values))):
+        table, want = make([0] * 200), [0] * 200
+        for x in random_words(rng):
+            label = rng.getrandbits(80)
+            gf2.scatter(table, x, label)
+            for i in set_bits(x):
+                want[i] ^= label
+            assert [table[i] for i in range(200)] == want
+    table = {3: 1}
+    gf2.scatter(table, 0, 9)
+    assert table == {3: 1}

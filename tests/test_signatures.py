@@ -4,8 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nets import (EMPTY_SCALAR, chain, chain_int, fan, golden_diagram, grid,
-                  odd_adjacency, zone_profile)
+from nets import (EMPTY_SCALAR, Net, chain, chain_int, fan, golden_diagram,
+                  grid, odd_adjacency, zone_profile)
 from spekcat import diagrams as dg
 from spekcat import gf2
 from spekcat import signatures as sg
@@ -202,6 +202,19 @@ def test_expand_refuses_exponential_output(monkeypatch):
     assert len(sg.state_form(dg.parse(chain(4)))[0].expand().pairs) == 16
     with pytest.raises(CapacityError):
         sg.state_form(dg.parse(chain(5)))[0].expand()
+
+
+def test_expand_of_a_wide_form_with_no_signatures(monkeypatch):
+    # no row is built, so expand's leg ceiling does not apply; evaluate
+    # still refuses, as its copy tree's factor passes the ceiling
+    monkeypatch.delenv("SPEK_MAX_CELLS", raising=False)
+    net = Net()
+    d = dg.parse(EMPTY_SCALAR + net.text(net.zone(21)))
+    form, _ = sg.state_form(d)
+    assert form.shift is None and form.n_legs == 21
+    assert form.expand() == Relation(rel.I, Space(4, 21), frozenset())
+    with pytest.raises(CapacityError):
+        dg.evaluate(dg.as_state(d))
 
 
 def test_walk_refuses_exponential_output(monkeypatch):
