@@ -1,8 +1,11 @@
-"""Command line driver: eval, form, compare, enumerate, verify."""
+"""Command line driver: eval, form, compare, enumerate, verify.  It reads
+the arguments and diagram files, calls the library, maps its errors to exit
+codes, and prints every line through one printer for text or jsonl."""
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import shutil
 import sys
@@ -10,12 +13,12 @@ import sys
 from . import diagrams as dg
 from . import signatures as sg
 from . import verification as vf
-from .generators import HALFSPEK, MSPEK, SPEK, THEORIES, GeneratorId, resolve
+from .generators import SPEK, THEORIES
 from .relations import CapacityError, max_arity
 
-# json (jsonl output only) and the random diagram generator (compare
-# --random only) are imported where they are used, so that a text run
-# starts without them.
+# json (by the jsonl printer only) and the random diagram generator
+# (compare --random only) are imported where they are used, so that a text
+# run starts without them.
 
 EXIT_PARSE = 1
 EXIT_CAPACITY = 2
@@ -24,8 +27,6 @@ EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 EXIT_ENV = 6
 EXIT_USAGE = 7
-
-SUITES = ("kbp", "laws", "duality", "cardinality")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,76 +63,73 @@ def _read_spek_diagram(path):
     return d
 
 
+def _printer(fmt):
+    """The one place output takes its format: ``emit(text, record)``
+    prints a line's text under text and its record as one json line
+    under jsonl.  Either is None where its format has no such line, or a
+    function that makes the texts or records of several lines, called
+    only by the format that prints them."""
+    if fmt == "text":
+        side, render = 0, str
+    else:
+        import json
+        side, render = 1, json.dumps
+
+    def emit(text, record):
+        made = (text, record)[side]
+        if callable(made):
+            for item in made():
+                print(render(item))
+        elif made is not None:
+            print(render(made))
+    return emit
+
+
 def cmd_eval(args):
     r = dg.evaluate(_read_diagram(args.path))
-    if args.format == "jsonl":
-        import json
-        for a, b in sorted(r.pairs):
-            print(json.dumps({"in": list(a), "out": list(b)}))
-    else:
-        print(r.to_text(), end="")
+    # one print of the whole text: a row the output cannot encode leaves
+    # no partial output
+    args.emit(lambda: [r.to_text()[:-1]],
+              lambda: ({"in": a, "out": b} for a, b in sorted(r.pairs)))
     return 0
 
 
 def cmd_form(args):
     form, _ = sg.state_form(_read_spek_diagram(args.path))
-    lines = list(filter(None, form.system.to_text().splitlines()))
-    if args.format == "jsonl":
-        import json
-        for sig, count in form.walk():
-            print(json.dumps({"signature": [[p, t] for p, t in sig],
-                              "count": count}))
-        for line in lines:
-            print(json.dumps({"constraint": line}))
-    else:
-        for line in form.lines():
-            print(line)
-        for line in lines:
-            print("constraint %s" % line)
+    args.emit(form.lines, lambda: ({"signature": sig, "count": count}
+                                   for sig, count in form.walk()))
+    for line in filter(None, form.system.to_text().splitlines()):
+        args.emit("constraint %s" % line, {"constraint": line})
     return 0
 
 
-def _compare_one(d, label, dumps):
-    """Whether d's closed form expands to its evaluated state; a mismatch
-    is printed as a jsonl record by ``dumps``, or as text without it."""
-    truth = dg.evaluate(dg.as_state(d))
-    form, _ = sg.state_form(d)
-    got = form.expand()
-    if got == truth:
-        return True
-    if dumps:
-        print(dumps({"mismatch": label, "evaluated": truth.to_text(),
-                     "closed_form": form.to_text()}))
-        return False
-    print("MISMATCH %s" % label)
-    print("evaluated:")
-    print(truth.to_text(), end="")
-    print("closed form:")
-    print(form.to_text(), end="")
-    return False
-
-
 def cmd_compare(args):
+    """Checks that each diagram's closed form expands to its evaluated
+    state.  The form is expanded first: a state too wide to expand is
+    refused before any contraction."""
     files = [(_read_spek_diagram(path), path) for path in args.paths]
-    dumps = None
-    if args.format == "jsonl":
-        from json import dumps
     if args.random:
         from .generate import random_diagram
+    seeds = range(args.seed, args.seed + args.random)
     ok = True
-    for k in range(args.random):
-        d = random_diagram(args.seed + k)
-        ok = _compare_one(d, "seed=%d" % (args.seed + k), dumps) and ok
-    for d, path in files:
-        ok = _compare_one(d, path, dumps) and ok
+    for d, label in itertools.chain(
+            ((random_diagram(k), "seed=%d" % k) for k in seeds), files):
+        form, _ = sg.state_form(d)
+        got = form.expand()
+        truth = dg.evaluate(dg.as_state(d))
+        if got != truth:
+            ok = False
+            evaluated, closed_form = truth.to_text(), form.to_text()
+            args.emit("MISMATCH %s\nevaluated:\n%sclosed form:\n%s"
+                      % (label, evaluated, closed_form[:-1]),
+                      {"mismatch": label, "evaluated": evaluated,
+                       "closed_form": closed_form})
     if ok:
-        print(dumps({"result": "OK"}) if dumps else "OK")
+        args.emit("OK", {"result": "OK"})
     return 0 if ok else EXIT_MISMATCH
 
 
 def cmd_enumerate(args):
-    if args.format == "jsonl":
-        import json
     made = None         # the outermost directory this run creates
     if args.out:
         head = os.path.abspath(args.out)
@@ -141,27 +139,21 @@ def cmd_enumerate(args):
         if args.out:
             os.makedirs(args.out, exist_ok=True)
         for n, count in vf.closed_form_counts(args.theory, args.arity).items():
-            if args.format == "jsonl":
-                print(json.dumps({"legs": n, "states": count}))
-            else:
-                print("legs=%d states=%d" % (n, count))
+            args.emit("legs=%d states=%d" % (n, count),
+                      {"legs": n, "states": count})
             if n == 1:
                 for s in vf.enumerate_states(args.theory, 1)[1]:
                     row = sorted(t[0] for _, t in s.pairs)
-                    if args.format == "jsonl":
-                        print(json.dumps({"state": row}))
-                    else:
-                        print("  {%s}" % ",".join(str(v) for v in row))
+                    args.emit("  {%s}" % ",".join(map(str, row)),
+                              {"state": row})
         if args.out:
             report = vf.enumerate_closure(args.theory)
             for (m, n), hom in sorted(report.hom.items()):
                 path = os.path.join(args.out, "hom_%d_%d.rel" % (m, n))
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.writelines(r.to_text() for r in hom)
-            if args.format == "jsonl":
-                print(json.dumps({"closure_report": args.out}))
-            else:
-                print("closure report written to %s" % args.out)
+            args.emit("closure report written to %s" % args.out,
+                      {"closure_report": args.out})
         return 0
     except BaseException:
         # a refused or failed run leaves none of the directories it made
@@ -170,76 +162,13 @@ def cmd_enumerate(args):
         raise
 
 
-def _verify_lines(suites, arity):
-    lines = []
-
-    def check(name, ok, detail=""):
-        lines.append(("PASS" if ok else "FAIL", name, detail))
-
-    if "laws" in suites:
-        for theory in (SPEK, HALFSPEK):
-            d = resolve(GeneratorId("delta", theory))
-            e = resolve(GeneratorId("epsilon", theory))
-            for law, ok in vf.check_basis_structure(d, e).items():
-                check("laws.%s.%s" % (theory, law), ok)
-        bad = vf.check_basis_structure(
-            resolve(GeneratorId("delta", SPEK)),
-            resolve(GeneratorId("bottom_dagger", MSPEK)))
-        check("laws.bottom-not-counit", not bad["counit-left"])
-        check("laws.ghz-delta", vf.ghz_delta_identity())
-    walked = {}     # theory -> its states, balanced states and sizes by n
-    for theory in (SPEK, MSPEK, HALFSPEK):
-        if "cardinality" in suites or ("kbp" in suites and theory != HALFSPEK):
-            states, balanced, sizes = walked[theory] = {}, {}, {}
-            for n, rows in vf.row_spaces(theory, arity):
-                k = len(rows)      # 2^k states, one per coset
-                states[n] = states.get(n, 0) + (1 << k)
-                if theory != HALFSPEK:
-                    sizes.setdefault(n, set()).add(1 << 2 * n - k)
-                    if "kbp" in suites and vf.space_balanced(n, rows):
-                        balanced[n] = balanced.get(n, 0) + (1 << k)
-    if "kbp" in suites:
-        for theory in (SPEK, MSPEK):
-            total, ok = (sum(walked[theory][i].values()) for i in (0, 1))
-            check("kbp.%s" % theory, ok == total,
-                  "%d/%d states balanced" % (ok, total))
-    if "cardinality" in suites:
-        cs, cm = ({n: sorted(v) for n, v in walked[theory][2].items()}
-                  for theory in (SPEK, MSPEK))
-        check("cardinality.spek-exact",
-              all(c == 1 << n for n, v in cs.items() for c in v), str(cs))
-        check("cardinality.mspek-range",
-              all(vf._balanced(c, n) for n, v in cm.items() for c in v),
-              str(cm))
-        for theory in (SPEK, MSPEK, HALFSPEK):
-            got = walked[theory][0]
-            want = vf.closed_form_counts(theory, arity)
-            check("cardinality.%s-count" % theory, got == want,
-                  str(got) if got == want
-                  else "%s, closed form %s" % (got, want))
-    if "duality" in suites:
-        for theory in (SPEK, MSPEK, HALFSPEK):
-            rep = vf.check_map_state_duality(theory)
-            check("duality.%s.bijective" % theory, rep.bijective,
-                  "%d states, %d maps" % (rep.n_states, rep.n_maps))
-            check("duality.%s.identity-diagonal" % theory,
-                  rep.identity_matches_diagonal)
-    return lines
-
-
 def cmd_verify(args):
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    lines = _verify_lines(suites, args.arity)
-    if args.format == "jsonl":
-        import json
+    suites = vf.SUITES if args.suite == "all" else (args.suite,)
     ok = True
-    for status, name, detail in lines:
+    for status, name, detail in vf.verify(suites, args.arity):
         ok = ok and status == "PASS"
-        if args.format == "jsonl":
-            print(json.dumps({"check": name, "status": status,
-                              "detail": detail}))
-        else:
-            print(("%s %s %s" % (status, name, detail)).rstrip())
+        args.emit(("%s %s %s" % (status, name, detail)).rstrip(),
+                  {"check": name, "status": status, "detail": detail})
     return 0 if ok else EXIT_VERIFY
 
 
@@ -273,7 +202,7 @@ def main(argv=None):
 
     p = sub.add_parser("verify", help="run consistency suites")
     p.add_argument("--suite",
-                   choices=SUITES + ("all",),
+                   choices=vf.SUITES + ("all",),
                    default="all")
     p.add_argument("--arity", type=int, default=3)
     p.set_defaults(func=cmd_verify)
@@ -290,6 +219,7 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ENV
+    args.emit = _printer(args.format)
     try:
         code = args.func(args)
         sys.stdout.flush()

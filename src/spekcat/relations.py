@@ -96,7 +96,6 @@ class Space(namedtuple("Space", "base arity")):
 
 
 I = Space()
-IV = Space(4, 1)
 
 
 def _fmt(t: Digits) -> str:

@@ -2,7 +2,8 @@
 
 One walk, ``row_spaces``, lists the row spaces A of the phase-space model
 (Pusey, arXiv:1103.5037); each coset {x : Ax = c} is a state the
-generators build.  ``verify`` reads balance and sizes off A alone
+generators build.  ``verify`` makes the checks of the ``SUITES`` the
+command line runs, reading balance and sizes off A alone
 (``space_balanced``).  ``_solutions`` lists the states as the indices of
 their rows, which ``_split`` cuts into relations m -> n by map-state
 duality: ``enumerate_states`` at m = 0, ``enumerate_closure`` at
@@ -428,3 +429,67 @@ def ghz_delta_identity() -> bool:
     bent = evaluate(bend_leg(ghz, 2))
     return (bent == resolve(GeneratorId("delta", SPEK))
             and bent.converse() == resolve(GeneratorId("delta_dagger", SPEK)))
+
+
+SUITES = ("kbp", "laws", "duality", "cardinality")
+
+
+def verify(suites, arity):
+    """The checks of the named ``SUITES`` on up to ``arity`` legs, all made
+    before any is returned, as (status, name, detail) lines, status PASS
+    or FAIL.  kbp and cardinality read one ``row_spaces`` walk per theory:
+    a space of k rows on n legs holds 2^k states of 2^(2n-k) rows each."""
+    lines = []
+
+    def check(name, ok, detail=""):
+        lines.append(("PASS" if ok else "FAIL", name, detail))
+
+    if "laws" in suites:
+        for theory in (SPEK, HALFSPEK):
+            d = resolve(GeneratorId("delta", theory))
+            e = resolve(GeneratorId("epsilon", theory))
+            for law, ok in check_basis_structure(d, e).items():
+                check("laws.%s.%s" % (theory, law), ok)
+        bad = check_basis_structure(
+            resolve(GeneratorId("delta", SPEK)),
+            resolve(GeneratorId("bottom_dagger", MSPEK)))
+        check("laws.bottom-not-counit", not bad["counit-left"])
+        check("laws.ghz-delta", ghz_delta_identity())
+    walked = {}     # theory -> its states, balanced states and sizes by n
+    for theory in (SPEK, MSPEK, HALFSPEK):
+        if "cardinality" in suites or ("kbp" in suites and theory != HALFSPEK):
+            states, balanced, sizes = walked[theory] = {}, {}, {}
+            for n, rows in row_spaces(theory, arity):
+                k = len(rows)      # 2^k states, one per coset
+                states[n] = states.get(n, 0) + (1 << k)
+                if theory != HALFSPEK:
+                    sizes.setdefault(n, set()).add(1 << 2 * n - k)
+                    if "kbp" in suites and space_balanced(n, rows):
+                        balanced[n] = balanced.get(n, 0) + (1 << k)
+    if "kbp" in suites:
+        for theory in (SPEK, MSPEK):
+            total, ok = (sum(walked[theory][i].values()) for i in (0, 1))
+            check("kbp.%s" % theory, ok == total,
+                  "%d/%d states balanced" % (ok, total))
+    if "cardinality" in suites:
+        cs, cm = ({n: sorted(v) for n, v in walked[theory][2].items()}
+                  for theory in (SPEK, MSPEK))
+        check("cardinality.spek-exact",
+              all(c == 1 << n for n, v in cs.items() for c in v), str(cs))
+        check("cardinality.mspek-range",
+              all(_balanced(c, n) for n, v in cm.items() for c in v),
+              str(cm))
+        for theory in (SPEK, MSPEK, HALFSPEK):
+            got = walked[theory][0]
+            want = closed_form_counts(theory, arity)
+            check("cardinality.%s-count" % theory, got == want,
+                  str(got) if got == want
+                  else "%s, closed form %s" % (got, want))
+    if "duality" in suites:
+        for theory in (SPEK, MSPEK, HALFSPEK):
+            rep = check_map_state_duality(theory)
+            check("duality.%s.bijective" % theory, rep.bijective,
+                  "%d states, %d maps" % (rep.n_states, rep.n_maps))
+            check("duality.%s.identity-diagonal" % theory,
+                  rep.identity_matches_diagonal)
+    return lines

@@ -232,6 +232,56 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_compare_refuses_a_wide_state_before_contracting(tmp_path, capsys,
+                                                         monkeypatch):
+    # 16 cells: arity 2, so expand refuses more than 4 legs
+    monkeypatch.setenv("SPEK_MAX_CELLS", "16")
+    paths = []
+    for n in (3, 5):
+        paths.append(tmp_path / ("chain%d.spekd" % n))
+        paths[-1].write_text(chain(n))
+    assert run(capsys, "compare", str(paths[0])) == (0, "OK\n", "")
+
+    def refuse(d):
+        raise AssertionError("a contraction started")
+
+    monkeypatch.setattr(cli.dg, "evaluate", refuse)
+    for fmt in ("text", "jsonl"):
+        code, out, err = run(capsys, "--format", fmt, "compare",
+                             str(paths[1]))
+        assert (code, out) == (cli.EXIT_CAPACITY, ""), fmt
+        assert err == "error: expanding 5 legs exceeds the ceiling of 4\n"
+
+
+def test_text_lines_pair_with_jsonl_records(tmp_path, capsys):
+    # each text line and the jsonl record in the same place say the same
+    def render(record):
+        if "signature" in record:
+            return "(%s) x%d" % ("; ".join(
+                "%s,%s" % (sg.PARITY_NAMES[p], sg.TYPE_NAMES[t])
+                for p, t in record["signature"]), record["count"])
+        if "legs" in record:
+            return "legs=%d states=%d" % (record["legs"], record["states"])
+        if "state" in record:
+            return "  {%s}" % ",".join(map(str, record["state"]))
+        if "closure_report" in record:
+            return "closure report written to %s" % record["closure_report"]
+        return "constraint %s" % record["constraint"]
+
+    report = str(tmp_path / "report")
+    for argv in (["enumerate", "--theory", "mspek", "--arity", "2"],
+                 ["enumerate", "--theory", "mspek", "--arity", "2",
+                  "--out", report],
+                 ["form", golden("triangle_internalized.spekd")]):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, "--format", "jsonl", *argv)
+        assert code == 0
+        records = list(map(json.loads, out.splitlines()))
+        assert text.splitlines() == list(map(render, records)), argv
+        assert len(records) > 1, argv
+
+
 def test_jsonl_output_is_one_record_per_line(tmp_path, capsys, monkeypatch):
     def records(*argv):
         code, out, _ = run(capsys, "--format", "jsonl", *argv)

@@ -14,8 +14,9 @@ from spekcat import signatures as sg
 from spekcat.generate import random_diagram
 from spekcat.generators import BASE, MSPEK, GeneratorId, resolve
 from spekcat.permutations import s4
-from spekcat.relations import IV, CapacityError, Relation, Space
+from spekcat.relations import CapacityError, Relation, Space
 
+IV = Space(4, 1)
 ETA_SRC = "box e: eps+\nbox d: delta\nwire e.1 d.in\nout d.1 d.2\n"
 
 

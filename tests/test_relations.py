@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spekcat import relations as rel
-from spekcat.relations import I, IV, Relation, Space
+from spekcat.relations import I, Relation, Space
 from spekcat.generators import GeneratorId, resolve
 
+IV = Space(4, 1)
 
 EPS = resolve(GeneratorId("epsilon", "spek"))
 DELTA = resolve(GeneratorId("delta", "spek"))
