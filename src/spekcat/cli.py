@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-import shutil
 import sys
 
 from . import diagrams as dg
@@ -16,9 +15,9 @@ from . import verification as vf
 from .generators import SPEK, THEORIES
 from .relations import CapacityError, max_arity
 
-# json (by the jsonl printer only) and the random diagram generator
-# (compare --random only) are imported where they are used, so that a text
-# run starts without them.
+# json (by the jsonl printer only), the random diagram generator (compare
+# --random only) and shutil (enumerate --out only) are imported where they
+# are used, so that a text run starts without them.
 
 EXIT_PARSE = 1
 EXIT_CAPACITY = 2
@@ -132,6 +131,7 @@ def cmd_compare(args):
 def cmd_enumerate(args):
     made = None         # the outermost directory this run creates
     if args.out:
+        import shutil   # not in the handler below, where it could fail
         head = os.path.abspath(args.out)
         while not os.path.lexists(head):
             made, head = head, os.path.dirname(head)

@@ -30,15 +30,12 @@ from collections import namedtuple
 from functools import cache, cached_property
 from itertools import count
 from operator import itemgetter
-from typing import Dict, Tuple
 
 from . import relations as rel
 from .generators import (ARITIES, BASE, SPEK, THEORIES, GeneratorId,
                          parse_generator_name, resolve)
 from .permutations import SIGMA, sigma_decompose
 from .relations import CapacityError, Relation, Space, max_arity
-
-Port = Tuple[str, str]
 
 
 class DiagramError(ValueError):
@@ -57,17 +54,17 @@ def _slot_names(n_in, n_out):
 _SLOTS = {tag: _slot_names(*io) for tag, io in ARITIES.items()}
 
 
-def slots(gen: GeneratorId) -> Tuple[str, ...]:
+def slots(gen: GeneratorId) -> tuple[str, ...]:
     return _SLOTS[gen.tag]
 
 
 class Diagram(namedtuple("Diagram", "theory boxes wires legs",
                          defaults=(SPEK, (), (), ()))):
-    """Boxes ``(id, GeneratorId)``, wires ``(Port, Port)`` and the open
-    legs ``(Port, "in"|"out")``, in order."""
+    """Boxes ``(id, GeneratorId)``, wires ``(port, port)`` and the open
+    legs ``(port, "in"|"out")``, in order; a port is ``(box id, slot)``."""
 
     @cached_property
-    def ports(self) -> Dict[Port, tuple]:
+    def ports(self) -> dict[tuple[str, str], tuple]:
         """The port index: each port's variable in ``evaluate``, ``("w", i)``
         for wire i or ``("l", port)`` for an open leg (shared: do not
         modify).  Built, and the diagram checked, on first access; a bent
@@ -297,7 +294,9 @@ def evaluate(d: Diagram) -> Relation:
     into one node, which the wires of either that reach a third factor now
     end on.  A join whose operands hold more than twice ``max_arity()``
     distinct variables raises ``CapacityError``; the ceiling is read once
-    per call.
+    per call.  The last join holds every open leg, so when more than one
+    factor is left and the legs outnumber the ceiling, the schedule is
+    refused before it starts; a lone factor is returned at any width.
     """
     ceiling = 2 * max_arity()
     ports = d.ports                     # port -> its variable
@@ -380,6 +379,10 @@ def evaluate(d: Diagram) -> Relation:
                     eu = ends[u[1]]
                     eu[eu.index(i)] = j
         del factors[i]
+    # the last join would hold every leg: refuse a too-wide diagram at once
+    if len(factors) > 1 and len(d.legs) > ceiling:
+        raise CapacityError("%d open legs exceed the ceiling of %d"
+                            % (len(d.legs), ceiling))
     ids = count(len(d.boxes))
 
     # (width of the join, i, j), i < j, for factors linked by a wire.  A
@@ -420,9 +423,6 @@ def evaluate(d: Diagram) -> Relation:
                                   m, new))
     final, *rest = factors.values()
     for f in rest:               # disconnected remainder: tensor it together
-        if len(final.vars) + len(f.vars) > ceiling:
-            raise CapacityError("contraction intermediate exceeds arity "
-                                "ceiling")
         final = _join(final, f)
     if set(final.vars) != protected:
         raise RuntimeError("internal variables were not eliminated: %s"

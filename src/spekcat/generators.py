@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import Tuple
 
 from . import relations as rel
 from .permutations import perm_from_cycles, s4, z2
@@ -87,7 +86,7 @@ ARITIES = {"perm": (1, 1), "identity": (1, 1), "swap": (2, 2),
            "bottom": (0, 1), "bottom_dagger": (1, 0)}
 
 
-def arity(gen: GeneratorId) -> Tuple[int, int]:
+def arity(gen: GeneratorId) -> tuple[int, int]:
     """(number of input legs, number of output legs)."""
     return ARITIES[gen.tag]
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
 
 def xor_at_bits(table, x):
     """The XOR of ``table[i]`` over the set bits i of x.  Bits are read from
@@ -26,7 +24,7 @@ def scatter(table, x, label):
         x ^= 1 << top
 
 
-def _pivots(rows) -> Dict[int, int]:
+def _pivots(rows) -> dict[int, int]:
     """Forward elimination: each leading bit -> the one row leading there."""
     pivots = {}
     for row in rows:
@@ -44,7 +42,7 @@ def rank(rows) -> int:
     return len(_pivots(rows))
 
 
-def rref(rows) -> List[int]:
+def rref(rows) -> list[int]:
     """Reduced row echelon form, rows in decreasing order; zero rows are
     dropped."""
     pivots = _pivots(rows)
@@ -60,7 +58,7 @@ def rref(rows) -> List[int]:
     return sorted(reduced.values(), reverse=True)
 
 
-def span(vectors) -> List[int]:
+def span(vectors) -> list[int]:
     """The sum of every subset of the vectors, the empty sum first."""
     sums = [0]
     for v in vectors:
@@ -68,7 +66,7 @@ def span(vectors) -> List[int]:
     return sums
 
 
-def kernel(reduced, ncols) -> List[int]:
+def kernel(reduced, ncols) -> list[int]:
     """A kernel basis of reduced rows (each pivot in one row only) over
     ncols columns: per free column f, f plus the pivots of the rows that
     hold f.  Each row's free bits are read once, from the top down."""
@@ -81,7 +79,7 @@ def kernel(reduced, ncols) -> List[int]:
     return [1 << f | held[f] for f in range(ncols) if not pivots >> f & 1]
 
 
-def solve(rows, rhs, ncols) -> Optional[Tuple[int, List[int]]]:
+def solve(rows, rhs, ncols) -> tuple[int, list[int]] | None:
     """One solution of A x = b and a kernel basis of A, or None when A x = b
     has no solution.  The solutions are the particular one plus every sum
     of kernel vectors.  Both come from one elimination of the augmented

@@ -6,7 +6,6 @@ import heapq
 import itertools
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import Tuple
 
 
 class Permutation(namedtuple("Permutation", "base images")):
@@ -144,6 +143,6 @@ def _sigma_table():
     return {Permutation(4, p): word for p, word in best.items()}
 
 
-def sigma_decompose(p: Permutation) -> Tuple[Permutation, ...]:
+def sigma_decompose(p: Permutation) -> tuple[Permutation, ...]:
     """A word in phased permutations and Sigma whose left-to-right composite is p."""
     return tuple(_sigma_table()[p])

@@ -10,9 +10,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import namedtuple
-from typing import Iterator, Tuple
-
-Digits = Tuple[int, ...]
 
 
 class CapacityError(Exception):
@@ -77,8 +74,8 @@ class Space(namedtuple("Space", "base arity")):
             return range(0, 2)
         return range(0)
 
-    def tuples(self) -> Iterator[Digits]:
-        """All elements in canonical (lexicographic) order."""
+    def tuples(self) -> itertools.product:
+        """All elements, as digit tuples, in canonical (lexicographic) order."""
         return itertools.product(self.digits(), repeat=self.arity)
 
     def __mul__(self, other: "Space") -> "Space":
@@ -98,7 +95,7 @@ class Space(namedtuple("Space", "base arity")):
 I = Space()
 
 
-def _fmt(t: Digits) -> str:
+def _fmt(t: tuple[int, ...]) -> str:
     return "".join(str(d) for d in t) if t else "*"
 
 

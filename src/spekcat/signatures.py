@@ -25,7 +25,6 @@ import struct
 from collections import namedtuple
 from functools import cached_property
 from operator import xor
-from typing import Tuple
 
 from . import gf2
 from . import relations as rel
@@ -168,7 +167,7 @@ class StateForm(namedtuple("StateForm", "zone_legs leg_order system shift "
                         frozenset(zip(itertools.repeat(()), rows)))
 
 
-def state_form(d: Diagram) -> Tuple[StateForm, ZoneDecomposition]:
+def state_form(d: Diagram) -> tuple[StateForm, ZoneDecomposition]:
     """Closed-form block description of the state a Spek diagram denotes.
 
     Input legs are first bent to outputs, so the form always describes the

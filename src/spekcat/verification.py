@@ -18,7 +18,6 @@ import itertools
 import sys
 from collections import namedtuple
 from operator import itemgetter
-from typing import Dict
 
 from . import gf2
 from . import relations as rel
@@ -206,7 +205,7 @@ def check_kbp(state: Relation) -> KbpVerdict:
                       count == 1 << n)
 
 
-def check_basis_structure(delta: Relation, eps: Relation) -> Dict[str, bool]:
+def check_basis_structure(delta: Relation, eps: Relation) -> dict[str, bool]:
     """Exact comonoid, isometry, Frobenius and snake checks for (delta, eps)."""
     a = delta.dom
     ident = rel.identity(a)

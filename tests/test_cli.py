@@ -120,6 +120,18 @@ def test_text_start_loads_neither_json_nor_the_generator():
     assert out == "['spekcat.verification']\n"
 
 
+def test_start_loads_neither_typing_nor_shutil():
+    # annotations are written with builtins, and shutil is imported by
+    # enumerate --out only.  -S keeps site from loading either beforehand.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import spekcat.cli; "
+             "print(sorted({'typing', 'shutil', 'bz2', 'lzma', 'zlib', "
+             "'fnmatch'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 # the command line program run as by -m, from src/, in an interpreter
 # that has imported nothing else: json is not loaded beforehand
 FRESH_CLI = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "

@@ -364,6 +364,28 @@ def test_max_cells_is_read_on_every_evaluate(monkeypatch):
         dg.evaluate(d)
 
 
+def test_too_many_legs_are_refused_before_any_join(monkeypatch):
+    # chain(21) has 21 open legs, one more than the default ceiling of 20
+    # variables: the last join would hold them all
+    def no_join(f1, f2):
+        raise AssertionError("joined before refusing")
+    monkeypatch.setattr(dg, "_join", no_join)
+    with pytest.raises(CapacityError,
+                       match="21 open legs exceed the ceiling of 20"):
+        dg.evaluate(dg.parse(chain(21)))
+
+
+@pytest.mark.parametrize("cells", ["4", "2", "0"])
+@pytest.mark.parametrize("src", ["box d: delta\nin d.in\nout d.1 d.2\n",
+                                 "box u: eps+\nout u.1\n"])
+def test_a_lone_box_is_evaluated_at_any_width(src, cells, monkeypatch):
+    # nothing is joined, so no ceiling applies, however narrow
+    d = dg.parse(src)
+    want = dg.evaluate(d)
+    monkeypatch.setenv("SPEK_MAX_CELLS", cells)
+    assert dg.evaluate(d) == want
+
+
 # Seeds in range(300) whose random_diagram state raises CapacityError at
 # SPEK_MAX_CELLS=16 (intermediates wider than 4 variables) under the greedy
 # schedule.  Recorded from the scheduler that rescanned every factor at each
