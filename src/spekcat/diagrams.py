@@ -149,8 +149,13 @@ def _port_error(port, where, box_slots):
     return DiagramError("port %s.%s used more than once" % port)
 
 
-def _bad_port(tok, lineno):
-    return DiagramError("bad port %r (expected <box>.<slot>)" % tok, lineno)
+def _port(tok, lineno):
+    """``<box>.<slot>`` as ``(box, slot)``."""
+    box, dot, slot = tok.partition(".")
+    if not dot:
+        raise DiagramError("bad port %r (expected <box>.<slot>)" % tok,
+                           lineno)
+    return box, slot
 
 
 def parse(source: str) -> Diagram:
@@ -172,14 +177,7 @@ def parse(source: str) -> Diagram:
             if len(toks) != 3:
                 raise DiagramError("wire needs exactly two ports, got %r"
                                    % line.strip()[4:].lstrip(), lineno)
-            a, b = toks[1], toks[2]
-            abox, dot, aslot = a.partition(".")
-            if not dot:
-                raise _bad_port(a, lineno)
-            bbox, dot, bslot = b.partition(".")
-            if not dot:
-                raise _bad_port(b, lineno)
-            wires.append(((abox, aslot), (bbox, bslot)))
+            wires.append((_port(toks[1], lineno), _port(toks[2], lineno)))
         elif head == "box":
             name, sep, genname = line.strip()[3:].partition(":")
             genname = genname.strip()
@@ -191,11 +189,7 @@ def parse(source: str) -> Diagram:
                 raise DiagramError(str(exc), lineno)
             boxes.append((name.strip(), gen))
         elif head == "in" or head == "out":
-            for tok in toks[1:]:
-                box, dot, slot = tok.partition(".")
-                if not dot:
-                    raise _bad_port(tok, lineno)
-                legs.append(((box, slot), head))
+            legs += [(_port(tok, lineno), head) for tok in toks[1:]]
         elif head == "theory":
             tail = line.strip()[6:].lstrip()
             if tail not in THEORIES:
@@ -294,9 +288,11 @@ def evaluate(d: Diagram) -> Relation:
     into one node, which the wires of either that reach a third factor now
     end on.  A join whose operands hold more than twice ``max_arity()``
     distinct variables raises ``CapacityError``; the ceiling is read once
-    per call.  The last join holds every open leg, so when more than one
-    factor is left and the legs outnumber the ceiling, the schedule is
-    refused before it starts; a lone factor is returned at any width.
+    per call.  The schedule is planned on the factors' variables before
+    any join, so that error comes before any row is built.  The last join
+    holds every open leg, so when more than one factor is left and the
+    legs outnumber the ceiling, the schedule is refused before it starts;
+    a lone factor is returned at any width.
     """
     ceiling = 2 * max_arity()
     ports = d.ports                     # port -> its variable
@@ -393,34 +389,38 @@ def evaluate(d: Diagram) -> Relation:
         if e is not None and e[0] in factors and e[1] in factors:
             pair = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
             pairs[pair] = pairs.get(pair, 0) + 1
-    heap = sorted((len(factors[i].vars) + len(factors[j].vars) - 2 * n, i, j)
+    held = {i: f.vars for i, f in factors.items()}     # id -> its vars
+    plan = []                       # (i, j, new): join i and j into new
+    heap = sorted((len(held[i]) + len(held[j]) - 2 * n, i, j)
                   for (i, j), n in pairs.items())
-
     while heap:
         width, i, j = heapq.heappop(heap)
-        if i not in factors or j not in factors:
+        if i not in held or j not in held:
             continue
-        f1, f2 = factors.pop(i), factors.pop(j)
+        v1, v2 = held.pop(i), held.pop(j)
         # the operands hold the join's width plus twice their shared wires
-        if (len(f1.vars) + len(f2.vars) + width) // 2 > ceiling:
+        if (len(v1) + len(v2) + width) // 2 > ceiling:
             raise CapacityError("contraction intermediate exceeds arity "
                                 "ceiling")
         new = next(ids)
-        f = factors[new] = _join(f1, f2)
+        plan.append((i, j, new))
+        # as _join orders them: f1's unshared variables, then f2's
+        held[new] = [v for v in v1 + v2 if (v in v1) != (v in v2)]
         # the pair's own wires die in the join; the others now end on it
         shared = {}                 # m -> the wires joining it to new
-        for k, g in ((i, f1), (j, f2)):
-            for v in g.vars:
+        for k, vars in ((i, v1), (j, v2)):
+            for v in vars:
                 if v[0] == "w":
                     e = ends[v[1]]
                     m = e[0] + e[1] - k
                     if m != i and m != j:
                         e[:] = m, new
                         shared[m] = shared.get(m, 0) + 1
-        width = len(f.vars)
+        width = len(held[new])
         for m, n in shared.items():
-            heapq.heappush(heap, (len(factors[m].vars) + width - 2 * n,
-                                  m, new))
+            heapq.heappush(heap, (len(held[m]) + width - 2 * n, m, new))
+    for i, j, new in plan:
+        factors[new] = _join(factors.pop(i), factors.pop(j))
     final, *rest = factors.values()
     for f in rest:               # disconnected remainder: tensor it together
         final = _join(final, f)

@@ -146,6 +146,9 @@ FRESH_CLI = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
     ["compare", "--random", "3"],
     ["enumerate", "--arity", "1"],
     ["verify", "--suite", "laws"],
+    ["compare", "--random", "20", "--seed", "7"],
+    ["enumerate", "--theory", "mspek", "--arity", "2"],
+    ["verify", "--suite", "all", "--arity", "2"],
 ])
 def test_jsonl_from_a_fresh_interpreter(argv, capsys):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -375,6 +375,16 @@ def test_too_many_legs_are_refused_before_any_join(monkeypatch):
         dg.evaluate(dg.parse(chain(21)))
 
 
+def test_a_too_wide_join_is_refused_before_any_join(monkeypatch):
+    # grid(12) has one open leg, but its copy skeleton needs a join wider
+    # than the ceiling: the schedule is planned before any row is built
+    def no_join(f1, f2):
+        raise AssertionError("joined before refusing")
+    monkeypatch.setattr(dg, "_join", no_join)
+    with pytest.raises(CapacityError, match="contraction intermediate"):
+        dg.evaluate(dg.parse(grid(12)))
+
+
 @pytest.mark.parametrize("cells", ["4", "2", "0"])
 @pytest.mark.parametrize("src", ["box d: delta\nin d.in\nout d.1 d.2\n",
                                  "box u: eps+\nout u.1\n"])
